@@ -745,20 +745,6 @@ let kernel_plane_bench (cfg : Experiments.Config.t) =
     wps;
   kernel_records := List.rev !kernel_records
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Ensemble: BMA over two amp models vs the best single member —       *)
 (* held-out RMSE and empirical 2-sigma coverage, where the ensemble    *)
@@ -881,8 +867,8 @@ let ensemble_accuracy (cfg : Experiments.Config.t) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"circuit\":\"amp\",\"metric\":\"%s\",\"holdout\":%d,\"members\":["
-       (json_escape tb.metrics.(metric))
+       "{\"circuit\":\"amp\",\"metric\":%s,\"holdout\":%d,\"members\":["
+       (Obs.Json_string.quote tb.metrics.(metric))
        holdout);
   Array.iteri
     (fun i (k, (a : Serving.Artifact.t)) ->
@@ -979,14 +965,15 @@ let parallel_cv_sweep (cfg : Experiments.Config.t) =
 let summary_json ~total_seconds ~microbench =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"bench\":\"bmf\",\"scale\":\"%s\",\"total_seconds\":%.3f"
-       (json_escape !scale_name) total_seconds);
+    (Printf.sprintf "{\"bench\":\"bmf\",\"scale\":%s,\"total_seconds\":%.3f"
+       (Obs.Json_string.quote !scale_name) total_seconds);
   Buffer.add_string buf ",\"sections\":[";
   List.iteri
     (fun i (name, seconds) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"seconds\":%.6f}" (json_escape name)
+        (Printf.sprintf "{\"name\":%s,\"seconds\":%.6f}"
+           (Obs.Json_string.quote name)
            seconds))
     (List.rev !section_timings);
   Buffer.add_string buf "],\"microbench_ns_per_run\":[";
@@ -994,7 +981,8 @@ let summary_json ~total_seconds ~microbench =
     (fun i (name, ns) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"ns\":%.3f}" (json_escape name) ns))
+        (Printf.sprintf "{\"name\":%s,\"ns\":%.3f}"
+           (Obs.Json_string.quote name) ns))
     microbench;
   (* the metrics registry as recorded over the whole run (collection is
      enabled for the duration of main); Metrics.to_json is already a
@@ -1042,15 +1030,16 @@ let summary_json ~total_seconds ~microbench =
     (fun i (name, seconds) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"op\":\"%s\",\"seconds_per_op\":%.6f}"
-           (json_escape name) seconds))
+        (Printf.sprintf "{\"op\":%s,\"seconds_per_op\":%.6f}"
+           (Obs.Json_string.quote name) seconds))
     !durability_timings;
   Buffer.add_string buf "],\"kernels\":[";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"value\":%.6f}" (json_escape name)
+        (Printf.sprintf "{\"name\":%s,\"value\":%.6f}"
+           (Obs.Json_string.quote name)
            v))
     !kernel_records;
   Buffer.add_string buf "]";

@@ -796,9 +796,9 @@ let queue_arg =
     & opt int Server.Daemon.default_config.Server.Daemon.queue_capacity
     & info [ "queue" ] ~docv:"N"
         ~doc:
-          "Bounded request-queue capacity; a full queue answers an \
-           immediate $(b,busy) error frame (explicit backpressure, never \
-           unbounded buffering).")
+          "Bounded request-queue capacity per serving worker; a full queue \
+           answers an immediate $(b,busy) error frame (explicit \
+           backpressure, never unbounded buffering).")
 
 let max_batch_arg =
   Arg.(
@@ -808,12 +808,6 @@ let max_batch_arg =
         ~doc:
           "Maximum query points fused into one blocked predictor call per \
            micro-batch window.")
-
-let cache_arg =
-  Arg.(
-    value
-    & opt int Server.Daemon.default_config.Server.Daemon.cache_capacity
-    & info [ "cache" ] ~docv:"N" ~doc:"Resident models (LRU eviction).")
 
 let parse_addr_or_die what s =
   match Server.Daemon.parse_address s with
@@ -854,12 +848,13 @@ let shards_arg =
     value & opt int 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Serving shards. $(docv) = 1 (the default) runs the classic \
-           single-domain loop. $(docv) >= 2 spawns $(docv) worker domains \
-           that serve predict traffic from immutable model snapshots while \
-           the accept/journal/replication/scrape plane stays on the main \
-           domain; updates remain serialized through the single \
-           write-ahead journal and responses stay bit-identical to \
+          "Serving workers. Every worker serves its client connections \
+           from immutable model snapshots while the \
+           accept/journal/replication/scrape plane stays on the main \
+           domain. $(docv) = 1 (the default) runs the one worker on the \
+           main domain, spawning no domains. $(docv) >= 2 spawns \
+           $(docv) worker domains; updates remain serialized through the \
+           single write-ahead journal and responses stay bit-identical to \
            $(b,--shards 1).")
 
 let serve_events_arg =
@@ -883,7 +878,7 @@ let serve_trace_arg =
            that traced clients stamp on their frames; merge per-process \
            files with $(b,repro trace-merge).")
 
-let run_serve verbose dir socket host port queue max_batch cache jobs
+let run_serve verbose dir socket host port queue max_batch jobs
     durability metrics follow http shards events trace =
   Parallel.Pool.set_default_jobs (Stdlib.max 0 jobs);
   let _ = verbose in
@@ -901,7 +896,6 @@ let run_serve verbose dir socket host port queue max_batch cache jobs
       Server.Daemon.default_config with
       Server.Daemon.queue_capacity = queue;
       max_batch;
-      cache_capacity = Stdlib.max 1 cache;
       durability;
       http = Option.map (parse_addr_or_die "--http") http;
       shards;
@@ -915,10 +909,9 @@ let run_serve verbose dir socket host port queue max_batch cache jobs
   Server.Daemon.install_signal_handlers t;
   print_endline (Serving.Recovery.summary (Server.Daemon.recovery t));
   Format.printf
-    "serving %s at %a  (queue %d, max batch %d, cache %d, -j %d, %s, \
-     shards %d)@."
+    "serving %s at %a  (queue %d, max batch %d, -j %d, %s, shards %d)@."
     (root_of dir) Server.Daemon.pp_address (Server.Daemon.address t)
-    queue max_batch cache
+    queue max_batch
     (Parallel.Pool.default_jobs ())
     (match durability with `Fast -> "fast" | `Durable -> "durable")
     shards;
@@ -958,10 +951,9 @@ let serve_cmd =
      Length-prefixed binary wire protocol (opcodes: ping, predict, \
      predict_with_variance, update, list_models, stats, subscribe, \
      promote, predict_ensemble, ensemble_stats), bounded request queue \
-     with immediate $(b,busy) \
-     backpressure, per-request deadlines, LRU model cache, graceful \
-     drain on SIGTERM/SIGINT. $(b,--shards N) spreads serving over N \
-     worker domains (one core each) with bit-identical responses. With \
+     with immediate $(b,busy) backpressure, per-request deadlines, \
+     graceful drain on SIGTERM/SIGINT. $(b,--shards N) spreads serving \
+     over N worker domains (one core each) with bit-identical responses. With \
      $(b,--follow) the daemon runs as a read-only replication follower. \
      $(b,--http) adds a scrape endpoint (Prometheus /metrics, /health, \
      /ready, /events), $(b,--trace) records distributed-trace spans, \
@@ -970,7 +962,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run_serve $ verbose_arg $ dir_arg $ socket_arg $ host_arg
-      $ port_arg $ queue_arg $ max_batch_arg $ cache_arg $ jobs_arg
+      $ port_arg $ queue_arg $ max_batch_arg $ jobs_arg
       $ durability_arg ~default:`Durable $ metrics_arg $ follow_arg
       $ http_addr_arg $ shards_arg $ serve_events_arg $ serve_trace_arg)
 

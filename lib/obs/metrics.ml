@@ -394,24 +394,6 @@ let json_num f =
     Printf.sprintf "\"%s\""
       (if Float.is_nan f then "nan" else if f > 0. then "inf" else "-inf")
 
-let json_str s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let to_json () =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\"metrics\":[";
@@ -419,7 +401,8 @@ let to_json () =
     (fun i m ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":%s,\"type\":\"%s\"," (json_str m.name)
+        (Printf.sprintf "{\"name\":%s,\"type\":\"%s\","
+           (Json_string.quote m.name)
            (kind_label m.payload));
       if m.labels <> [] then begin
         Buffer.add_string buf "\"labels\":{";
@@ -427,7 +410,8 @@ let to_json () =
           (fun j (k, v) ->
             if j > 0 then Buffer.add_char buf ',';
             Buffer.add_string buf
-              (Printf.sprintf "%s:%s" (json_str k) (json_str v)))
+              (Printf.sprintf "%s:%s" (Json_string.quote k)
+                 (Json_string.quote v)))
           m.labels;
         Buffer.add_string buf "},"
       end;

@@ -11,5 +11,6 @@ module Clock = Clock
 module Trace = Trace
 module Metrics = Metrics
 module Events = Events
+module Json_string = Json_string
 
 let live () = Trace.enabled () || Metrics.enabled () || Events.enabled ()

@@ -282,41 +282,22 @@ let dropped () =
    everything else in the dependency order, so it cannot borrow a JSON
    module from upper layers. *)
 
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_str buf s =
-  Buffer.add_char buf '"';
-  add_escaped buf s;
-  Buffer.add_char buf '"'
-
 let add_value buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
       else
-        add_str buf
+        Json_string.add buf
           (if Float.is_nan f then "nan" else if f > 0. then "inf" else "-inf")
-  | Str s -> add_str buf s
+  | Str s -> Json_string.add buf s
 
 let add_args buf attrs extra =
   Buffer.add_char buf '{';
   let first = ref true in
   let field k add =
     if !first then first := false else Buffer.add_char buf ',';
-    add_str buf k;
+    Json_string.add buf k;
     Buffer.add_char buf ':';
     add ()
   in
@@ -331,9 +312,9 @@ let add_event buf ~tid ev =
   | Complete { id; trace; name; cat; start_us; dur_us; parent; depth; attrs }
     ->
       Buffer.add_string buf "{\"name\":";
-      add_str buf name;
+      Json_string.add buf name;
       Buffer.add_string buf ",\"cat\":";
-      add_str buf cat;
+      Json_string.add buf cat;
       Buffer.add_string buf ",\"ph\":\"X\",\"ts\":";
       add_ts buf start_us;
       Buffer.add_string buf ",\"dur\":";
@@ -348,9 +329,9 @@ let add_event buf ~tid ev =
       Buffer.add_char buf '}'
   | Instant { name; cat; ts_us; attrs } ->
       Buffer.add_string buf "{\"name\":";
-      add_str buf name;
+      Json_string.add buf name;
       Buffer.add_string buf ",\"cat\":";
-      add_str buf cat;
+      Json_string.add buf cat;
       Buffer.add_string buf ",\"ph\":\"i\",\"ts\":";
       add_ts buf ts_us;
       Buffer.add_string buf

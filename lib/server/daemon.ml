@@ -1,27 +1,31 @@
-(* Select loop + micro-batch executor, optionally sharded across
-   domains. Design notes:
+(* Select loop + micro-batch executor over one or more serving workers.
+   Design notes:
 
-   - One writer domain owns all mutation of shared serving state: the
-     accept loops, the model store/journal commit point, replication
-     fan-out, the follower link and the HTTP scrape endpoint. With
-     [shards = 1] (the default) it is also the only domain — the
-     original single-threaded daemon, no domains spawned, fork-safe.
-   - With [shards >= 2], N worker domains each run their own private
-     select loop over a disjoint subset of client connections (the
-     acceptor hands accepted fds across over an internal mailbox).
-     Workers execute predict kernels against immutable model snapshots
-     published by the writer via one [Atomic] swap ([Serving.Snapshot]),
-     so reads take no locks; updates are forwarded to the writer and
-     stay serialized through the single journal commit point. The
-     writer publishes the new snapshot before the ack frame travels
-     back, so an acked update is visible to every shard.
+   - Workers own every client connection: the only frame dispatch,
+     admission, read and close path. A worker runs predict and ensemble
+     kernels against immutable model snapshots published by the writer
+     via one [Atomic] swap ([Serving.Snapshot]), so reads take no locks.
+     With [shards = 1] (the default) a single worker runs inline on the
+     calling domain — no domains spawned, fork-safe. With [shards >= 2]
+     each worker runs the same per-tick step in its own select loop on
+     its own domain.
+   - One writer owns all mutation of shared serving state: the accept
+     loops (accepted client fds are dealt round-robin to the workers
+     over their mailboxes), the journal commit point, snapshot
+     publication, replication fan-out, the follower link and the HTTP
+     scrape endpoint. [update], [ensemble_stats] and [promote] travel to
+     it as request messages and their encoded replies travel back, so a
+     worker never loses track of a request it admitted. Only [subscribe]
+     moves a whole connection to the writer. The writer publishes an
+     update's snapshot before the ack travels back, so an acked update
+     is visible to every worker.
    - Bounded queue: admission happens at frame-parse time and a full
-     queue answers Busy immediately — the daemon never buffers more
-     compute than [queue_capacity] requests per executor. Connection
-     memory is bounded too: predict batches whose response could not
-     fit in one frame are refused at admission, and a connection that
-     stops reading its responses stops being read once
-     [max_buffered_out] bytes are queued for it.
+     queue answers Busy immediately — a worker never holds more than
+     [queue_capacity] requests (queued reads plus writer requests in
+     flight). Connection memory is bounded too: predict batches whose
+     response could not fit in one frame are refused at admission, and
+     a connection that stops reading its responses stops being read
+     once [max_buffered_out] bytes are queued for it.
    - Micro-batching: a batch window closes [batch_delay_s] after its
      oldest admission (immediately when 0); predicts group by
      (model, with_std) and run as single blocked predictor calls, so
@@ -69,7 +73,6 @@ let parse_address s =
 type config = {
   queue_capacity : int;
   max_batch : int;
-  cache_capacity : int;
   batch_delay_s : float;
   durability : Serving.Store.durability;
   http : address option;
@@ -79,17 +82,17 @@ type config = {
       (* requests slower than this (admission to reply) emit a
          [slow_request] event when the event log is enabled *)
   shards : int;
-      (* serving shards: 1 = the classic single-domain loop (no domains
-         spawned); N >= 2 spawns N worker domains for predict traffic *)
+      (* serving workers: 1 runs one worker inline on the writer's
+         domain (no domains spawned); N >= 2 spawns N worker domains *)
   http_idle_s : float;
       (* a scrape connection that has not completed its request line
          within this many seconds of its last progress is dropped *)
 }
 
 let default_config =
-  { queue_capacity = 256; max_batch = 4096; cache_capacity = 8;
-    batch_delay_s = 0.; durability = `Durable; http = None;
-    slow_request_s = 0.25; shards = 1; http_idle_s = 5. }
+  { queue_capacity = 256; max_batch = 4096; batch_delay_s = 0.;
+    durability = `Durable; http = None; slow_request_s = 0.25; shards = 1;
+    http_idle_s = 5. }
 
 (* ------------------------------------------------------------------ *)
 (* Metrics.                                                            *)
@@ -125,10 +128,6 @@ let g_queue_depth =
 let g_batch_points =
   Obs.Metrics.gauge ~help:"Query points in the last micro-batched call"
     "bmf_server_batch_points"
-
-let g_cache_entries =
-  Obs.Metrics.gauge ~help:"Models resident in the LRU cache"
-    "bmf_server_cache_entries"
 
 let g_connections =
   Obs.Metrics.gauge ~help:"Open connections" "bmf_server_connections"
@@ -230,6 +229,10 @@ type conn = {
   read_deadline_s : float;
       (* monotonic instant after which an unfinished read side is
          dropped ([infinity] = none); only scrape peers get one *)
+  mutable inflight : int;  (* admitted requests not yet answered *)
+  mutable subscribe : (int * (Serving.Artifact.meta * int) list) option;
+      (* a Subscribe frame's id and revision vector: the connection moves
+         to the writer once [inflight] reaches 0, and is not read until *)
 }
 
 (* Read-side backpressure: once this many encoded bytes are queued for a
@@ -287,21 +290,26 @@ module Mbox = struct
     try Unix.close t.w with Unix.Unix_error _ -> ()
 end
 
+(* Admitted work. Reads ([Wpredict], [Wensemble]) queue on the admitting
+   worker; the rest travel to the writer, which alone may commit,
+   reload ensemble definitions or change role. *)
 type work =
   | Wpredict of {
       meta : Serving.Artifact.meta;
       points : Linalg.Mat.t;
       with_std : bool;
     }
+  | Wensemble of { name : string; points : Linalg.Mat.t }
   | Wupdate of {
       meta : Serving.Artifact.meta;
       xs : Linalg.Mat.t;
       f : Linalg.Vec.t;
     }
-  | Wensemble of { name : string; points : Linalg.Mat.t }
+  | Wensemble_stats of string
+  | Wpromote
 
 type pending = {
-  p_conn : conn;
+  p_conn : conn;  (* touched only by the admitting worker *)
   p_id : int;
   admitted_s : float;
   (* Raw-monotonic admission instant ({!Obs.Clock.monotonic_raw}) used
@@ -321,12 +329,6 @@ type pending = {
   admitted_us : float;
 }
 
-type cached = {
-  mutable artifact : Serving.Artifact.t;
-  mutable predictor : Serving.Predictor.t;
-  mutable last_used : int;
-}
-
 (* Partial catch-up snapshot being reassembled on a follower. *)
 type snap_acc = { s_rev : int; s_total : int; s_buf : Buffer.t }
 
@@ -334,45 +336,30 @@ type snap_acc = { s_rev : int; s_total : int; s_buf : Buffer.t }
    trusts its configured leader but not unboundedly. *)
 let max_snapshot_bytes = 256 * 1024 * 1024
 
-(* Acceptor -> shard traffic. [S_conn] hands a freshly accepted client
-   fd across; [S_reply] routes a forwarded update's already-encoded
-   response frame back to the shard that owns the connection (only the
-   owning shard ever touches a [conn]). *)
-type shard_msg =
-  | S_conn of Unix.file_descr
-  | S_reply of { r_conn : conn; r_frame : string }
+(* Writer -> worker traffic: a freshly accepted client fd, or the
+   encoded reply to a request the worker sent the writer. *)
+type to_worker = Accepted of Unix.file_descr | Answer of conn * string
 
-(* Shard -> writer traffic. [W_update] is a client update admitted on a
-   shard and forwarded to the single journal commit point ([u_conn] is
-   an opaque routing token here — the writer never dereferences it).
-   [W_adopt] hands a whole connection back to the writer because its
-   latest frame ([a_frame], with [a_in]/[a_out] the unparsed input and
-   unflushed output around it) needs the replication control plane
-   (Subscribe/Promote). [W_publish] asks the writer to publish a model
-   a shard found on disk but missing from the snapshot.               *)
-type writer_msg =
-  | W_update of {
-      u_shard : int;
-      u_conn : conn;
-      u_id : int;
-      u_admitted_s : float;
-      u_expires_s : float;
-      u_meta : Serving.Artifact.meta;
-      u_xs : Linalg.Mat.t;
-      u_f : Linalg.Vec.t;
-      u_trace : int;
-      u_span : int;
-    }
-  | W_adopt of {
+(* Worker -> writer traffic. [Request] carries writer-only work
+   ([Wupdate], [Wensemble_stats], [Wpromote]) admitted by worker
+   [wid]; its [p_conn] is an opaque routing token on the writer.
+   [Adopt] hands over a connection whose Subscribe frame turns it into
+   a replication stream, with its unparsed input and unflushed output.
+   [Publish] asks the writer to publish a model a worker found on disk
+   but missing from the snapshot. *)
+type to_writer =
+  | Request of int * pending
+  | Adopt of {
       a_fd : Unix.file_descr;
       a_in : string;
       a_out : string list;
       a_out_off : int;
-      a_frame : Wire.frame;
+      a_id : int;
+      a_vector : (Serving.Artifact.meta * int) list;
     }
-  | W_publish of Serving.Artifact.meta
+  | Publish of Serving.Artifact.meta
 
-(* Per-model slice of an executor's serving arena: the predictor's
+(* Per-model slice of a worker's serving arena: the predictor's
    preallocated scratch plus growing output buffers for the fused
    means/stds. Keyed by (model meta, ensemble slot) so two ensemble
    members that happen to share a model never alias output storage. *)
@@ -382,9 +369,9 @@ type model_arena = {
   mutable ma_stds : float array;
 }
 
-(* One serving arena per executor domain (writer, each shard) — never
-   shared, so the steady-state predict path reuses the same storage
-   window after window with zero minor-heap float-array allocation. *)
+(* One serving arena per worker — never shared, so the steady-state
+   predict path reuses the same storage window after window with zero
+   minor-heap float-array allocation. *)
 type arena = {
   ar_fused : Linalg.Mat.t option ref;  (* fused-batch design buffer *)
   ar_models : (Serving.Artifact.meta * int, model_arena) Hashtbl.t;
@@ -392,18 +379,20 @@ type arena = {
 
 let arena_create () = { ar_fused = ref None; ar_models = Hashtbl.create 8 }
 
-type shard = {
-  sid : int;
-  s_mbox : shard_msg Mbox.t;
-  mutable s_conns : conn list;
-  s_pending : pending Queue.t;
-  s_scratch : Bytes.t;  (* per-shard read buffer *)
-  s_arena : arena;  (* per-shard fused buffer + predictor scratches *)
-  mutable s_outstanding : int;  (* updates forwarded, reply not yet back *)
-  mutable s_stopped_mono : float;  (* when this shard first saw stop *)
-  s_requests : Obs.Metrics.counter;
-  s_queue_gauge : Obs.Metrics.gauge;
-  s_conns_gauge : Obs.Metrics.gauge;
+type worker = {
+  wid : int;
+  mbox : to_worker Mbox.t;
+  mutable conns : conn list;
+  queue : pending Queue.t;  (* admitted reads awaiting their window *)
+  mutable outstanding : int;  (* requests at the writer, reply not back *)
+  depth : int Atomic.t;  (* queue + outstanding, read by the writer *)
+  scratch : Bytes.t;  (* the worker's read buffer *)
+  arena : arena;  (* fused buffer + predictor scratches *)
+  mutable stopped_mono : float;  (* when this worker first saw stop *)
+  mutable finished : bool;
+  requests : Obs.Metrics.counter;
+  queue_gauge : Obs.Metrics.gauge;
+  conns_gauge : Obs.Metrics.gauge;
 }
 
 type t = {
@@ -413,21 +402,13 @@ type t = {
   addr : address;
   http_fd : Unix.file_descr option;
   http_addr : address option;  (* resolved (post-bind) scrape address *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  wake_buf : Bytes.t;
-      (* preallocated wake byte: [stop] runs from signal-handler context
-         (and, sharded, from arbitrary domains) and must not allocate *)
   stop_flag : bool Atomic.t;
   mutable accepting : bool;
   mutable conns : conn list;
-  pending : pending Queue.t;
-  cache : (Serving.Artifact.meta, cached) Hashtbl.t;
-  mutable cache_tick : int;
-  served : int Atomic.t;  (* requests received, any outcome, any shard *)
+      (* writer-owned: scrape peers, the leader link, subscribers *)
+  served : int Atomic.t;  (* requests received, any outcome, any worker *)
   conn_count : int Atomic.t;  (* open connections across all domains *)
-  scratch : Bytes.t;  (* per-instance read buffer *)
-  arena : arena;  (* writer's fused buffer + predictor scratches *)
+  scratch : Bytes.t;  (* the writer's read buffer *)
   started_s : float;  (* wall clock, human-facing only *)
   started_mono : float;  (* monotonic, for uptime *)
   mutable stopped_mono : float;  (* monotonic instant [stop] was first seen *)
@@ -435,19 +416,19 @@ type t = {
   recovery : Serving.Recovery.report;  (* what [create] found and replayed *)
   ensembles : Ensemble.Manager.t;
       (* BMA ensembles over the store; mutated by the writer only,
-         published through the manager's own atomic view so shards read
-         the identical state (and thus derive identical weights) *)
-  (* --- sharding --- *)
+         published through the manager's own atomic view so workers
+         read the identical state (and thus derive identical weights) *)
   snapshot : Serving.Snapshot.t;
-      (* immutable published model views; written by the writer domain
-         at every commit, read lock-free by every shard *)
-  writer_mbox : writer_msg Mbox.t;
-  shards : shard array;  (* [||] in single-domain mode *)
-  shards_live : int Atomic.t;  (* worker domains not yet drained *)
-  mutable shard_rr : int;  (* round-robin cursor for fd handoff *)
+      (* the only model store: immutable published views, written by
+         the writer at every commit, read lock-free by every worker *)
+  writer_mbox : to_writer Mbox.t;
+      (* its wake pipe also carries [stop] and worker-exit wake-ups *)
+  workers : worker array;
+  workers_live : int Atomic.t;  (* workers not yet drained *)
+  mutable next_worker : int;  (* round-robin cursor for fd handoff *)
   (* --- replication --- *)
   leader : address option Atomic.t;
-      (* [Some _] = follower of that leader; atomic so shards can answer
+      (* [Some _] = follower of that leader; atomic so workers can answer
          Not_leader without consulting the writer *)
   commit_seq : int Atomic.t;
       (* leader: updates committed since start; follower: last leader
@@ -487,16 +468,12 @@ let started_s t = t.started_s
 
 let stopping t = Atomic.get t.stop_flag
 
-let shard_count t = max 1 (Array.length t.shards)
+let shard_count t = Array.length t.workers
 
+(* Async-signal-safe: the wake byte is preallocated inside the mailbox,
+   so this path allocates nothing in signal-handler context. *)
 let stop t =
-  if not (Atomic.exchange t.stop_flag true) then
-    (* self-pipe: wake the select no matter which domain/signal context
-       calls; a full pipe means a wake-up is already pending. The wake
-       byte is preallocated at creation — this path must not allocate
-       in signal-handler context. *)
-    try ignore (Unix.write t.wake_w t.wake_buf 0 1)
-    with Unix.Unix_error _ -> ()
+  if not (Atomic.exchange t.stop_flag true) then Mbox.wake t.writer_mbox
 
 let install_signal_handlers t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -544,8 +521,6 @@ let create ?(config = default_config) ?follow ~root addr =
   if config.queue_capacity < 0 then
     invalid_arg "Daemon.create: negative queue capacity";
   if config.max_batch < 1 then invalid_arg "Daemon.create: max_batch < 1";
-  if config.cache_capacity < 1 then
-    invalid_arg "Daemon.create: cache_capacity < 1";
   if config.shards < 1 then invalid_arg "Daemon.create: shards < 1";
   if not (config.http_idle_s > 0.) then
     invalid_arg "Daemon.create: http_idle_s must be positive";
@@ -579,9 +554,6 @@ let create ?(config = default_config) ?follow ~root addr =
             (try Unix.close listen_fd with Unix.Unix_error _ -> ());
             raise e)
   in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
   let ensembles = Ensemble.Manager.create ~root in
   (match Ensemble.Manager.load_all ensembles with
   | [] -> ()
@@ -589,23 +561,23 @@ let create ?(config = default_config) ?follow ~root addr =
       Obs.Events.emit "ensemble_load_failed"
         ~fields:[ ("files", Obs.Trace.Int (List.length failed)) ]);
   set_role_metric (match follow with None -> `Leader | Some _ -> `Follower);
-  let shards =
-    if config.shards <= 1 then [||]
-    else
-      Array.init config.shards (fun sid ->
-          {
-            sid;
-            s_mbox = Mbox.create ();
-            s_conns = [];
-            s_pending = Queue.create ();
-            s_scratch = Bytes.create 65536;
-            s_arena = arena_create ();
-            s_outstanding = 0;
-            s_stopped_mono = nan;
-            s_requests = shard_requests_counter sid;
-            s_queue_gauge = shard_queue_gauge sid;
-            s_conns_gauge = shard_conns_gauge sid;
-          })
+  let workers =
+    Array.init config.shards (fun wid ->
+        {
+          wid;
+          mbox = Mbox.create ();
+          conns = [];
+          queue = Queue.create ();
+          outstanding = 0;
+          depth = Atomic.make 0;
+          scratch = Bytes.create 65536;
+          arena = arena_create ();
+          stopped_mono = nan;
+          finished = false;
+          requests = shard_requests_counter wid;
+          queue_gauge = shard_queue_gauge wid;
+          conns_gauge = shard_conns_gauge wid;
+        })
   in
   {
     config;
@@ -614,19 +586,12 @@ let create ?(config = default_config) ?follow ~root addr =
     addr;
     http_fd;
     http_addr;
-    wake_r;
-    wake_w;
-    wake_buf = Bytes.make 1 '!';
     stop_flag = Atomic.make false;
     accepting = true;
     conns = [];
-    pending = Queue.create ();
-    cache = Hashtbl.create 8;
-    cache_tick = 0;
     served = Atomic.make 0;
     conn_count = Atomic.make 0;
     scratch = Bytes.create 65536;
-    arena = arena_create ();
     started_s = Unix.gettimeofday ();
     started_mono = Obs.Clock.now_s ();
     stopped_mono = nan;
@@ -635,9 +600,9 @@ let create ?(config = default_config) ?follow ~root addr =
     ensembles;
     snapshot = Serving.Snapshot.create ();
     writer_mbox = Mbox.create ();
-    shards;
-    shards_live = Atomic.make (Array.length shards);
-    shard_rr = 0;
+    workers;
+    workers_live = Atomic.make config.shards;
+    next_worker = 0;
     leader = Atomic.make follow;
     commit_seq = Atomic.make 0;
     source = Replication.Source.create ();
@@ -653,80 +618,37 @@ let create ?(config = default_config) ?follow ~root addr =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Model cache (LRU over the store).                                   *)
+(* Model lookup over the published snapshot.                           *)
 
-let touch t cached =
-  t.cache_tick <- t.cache_tick + 1;
-  cached.last_used <- t.cache_tick
-
-let evict_to_capacity t =
-  while Hashtbl.length t.cache > t.config.cache_capacity do
-    let victim =
-      Hashtbl.fold
-        (fun meta c acc ->
-          match acc with
-          | Some (_, best) when best.last_used <= c.last_used -> acc
-          | _ -> Some (meta, c))
-        t.cache None
-    in
-    match victim with
-    | Some (meta, _) -> Hashtbl.remove t.cache meta
-    | None -> ()
-  done;
-  Obs.Metrics.set g_cache_entries (float_of_int (Hashtbl.length t.cache))
-
-let get_model t meta : (cached, Wire.error) result =
-  match Hashtbl.find_opt t.cache meta with
-  | Some c ->
-      touch t c;
-      Ok c
+(* Writer only: the served entry for [meta], published from the store
+   on a miss. *)
+let writer_model t meta : (Serving.Snapshot.entry, Wire.error) result =
+  match Serving.Snapshot.find (Serving.Snapshot.current t.snapshot) meta with
+  | Some e -> Ok e
   | None -> (
       match Serving.Store.load ~root:t.root meta with
       | Error message -> Error { Wire.code = Wire.Model_not_found; message }
-      | Ok artifact ->
-          let c =
-            {
-              artifact;
-              predictor = Serving.Predictor.of_artifact artifact;
-              last_used = 0;
-            }
-          in
-          touch t c;
-          Hashtbl.replace t.cache meta c;
-          evict_to_capacity t;
-          Ok c)
+      | Ok artifact -> Ok (Serving.Snapshot.publish t.snapshot artifact))
 
-let refresh_model t meta artifact =
-  (* writer only. Publish the fresh revision to the shards BEFORE the
-     caller queues any acknowledgement: a client that sees the ack and
-     immediately predicts on another shard must see this revision. *)
-  if Array.length t.shards > 0 then
-    ignore (Serving.Snapshot.publish t.snapshot artifact);
-  (match Hashtbl.find_opt t.cache meta with
-  | Some c ->
-      c.artifact <- artifact;
-      c.predictor <- Serving.Predictor.of_artifact artifact;
-      touch t c
-  | None ->
-      let c =
-        {
-          artifact;
-          predictor = Serving.Predictor.of_artifact artifact;
-          last_used = 0;
-        }
-      in
-      touch t c;
-      Hashtbl.replace t.cache meta c);
-  evict_to_capacity t
+let writer_predictor t meta =
+  match writer_model t meta with
+  | Ok e -> Some e.Serving.Snapshot.predictor
+  | Error _ -> None
+
+(* Writer only. Publish the fresh revision to every worker BEFORE the
+   caller queues any acknowledgement: a client that sees the ack and
+   immediately predicts on another worker must see this revision. *)
+let publish t artifact = ignore (Serving.Snapshot.publish t.snapshot artifact)
 
 (* ------------------------------------------------------------------ *)
-(* Connection plumbing.                                                *)
+(* Connection plumbing. Every conn is owned by one domain (the writer
+   or one worker). [close_conn] closes the fd and marks the record;
+   the owner prunes closed records from its list once per tick.        *)
 
 let close_conn t conn =
   if not conn.closed then begin
     conn.closed <- true;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    t.conns <- List.filter (fun c -> c != conn) t.conns;
     Atomic.decr t.conn_count;
     Obs.Metrics.set g_connections (float_of_int (Atomic.get t.conn_count));
     match conn.peer with
@@ -761,8 +683,15 @@ let bad_request message = Wire.Error { Wire.code = Wire.Bad_request; message }
 let internal_error e =
   Wire.Error { Wire.code = Wire.Internal; message = Printexc.to_string e }
 
-(* Error accounting + framing for a response, shared by the in-loop
-   [reply] path and the cross-domain forwarded-update path. *)
+let deadline_error =
+  Wire.Error
+    {
+      Wire.code = Wire.Deadline_exceeded;
+      message = "deadline expired before execution";
+    }
+
+(* Error accounting + framing for a response, on whichever domain
+   produced it. *)
 let encode_reply ~id resp =
   (match resp with
   | Wire.Error e ->
@@ -786,13 +715,10 @@ let encode_reply ~id resp =
              message = "response exceeded the frame size limit";
            })
 
-let reply t conn ~id resp =
-  ignore t;
-  send conn (encode_reply ~id resp)
+let reply conn ~id resp = send conn (encode_reply ~id resp)
 
-(* Flush as much queued output as the socket accepts right now.
-   [close] is the owner's teardown (writer vs shard bookkeeping). *)
-let flush_conn_gen ~close conn =
+(* Flush as much queued output as the socket accepts right now. *)
+let flush_conn t conn =
   let progress = ref true in
   (try
      while (not conn.closed) && !progress && not (Queue.is_empty conn.out) do
@@ -814,14 +740,12 @@ let flush_conn_gen ~close conn =
    with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-      close conn);
+      close_conn t conn);
   if (not conn.closed) && conn.close_after_flush && Queue.is_empty conn.out
-  then close conn
-
-let flush_conn t conn = flush_conn_gen ~close:(close_conn t) conn
+  then close_conn t conn
 
 (* ------------------------------------------------------------------ *)
-(* Request admission.                                                  *)
+(* Clock and admin payloads.                                           *)
 
 (* Monotonic: admission stamps, deadline expiry, uptime and drain grace
    must not move when NTP steps the wall clock — a step backwards would
@@ -883,14 +807,19 @@ let not_leader_error t =
       message = "not the leader; updates are accepted at " ^ where;
     }
 
-(* Turn a client connection into a subscriber: snapshot every model the
-   follower is missing or behind on, then mark the stream live. All the
-   frames are queued here and drip out through the ordinary flush path,
-   so catch-up never blocks the loop. *)
+(* Turn a connection handed over by a worker into a subscriber: snapshot
+   every model the follower is missing or behind on, then mark the
+   stream live. All the frames are queued here and drip out through the
+   ordinary flush path, so catch-up never blocks the loop. A refused
+   subscription is answered and hung up. *)
 let handle_subscribe t conn ~id vector =
-  if Atomic.get t.leader <> None then reply t conn ~id (not_leader_error t)
+  let refuse resp =
+    reply conn ~id resp;
+    conn.close_after_flush <- true
+  in
+  if Atomic.get t.leader <> None then refuse (not_leader_error t)
   else if stopping t then
-    reply t conn ~id
+    refuse
       (Wire.Error
          {
            Wire.code = Wire.Shutting_down;
@@ -973,23 +902,39 @@ let ship_commit ?(trace = (0, 0)) t entry =
           Replication.Source.note_shipped ~entries:!shipped));
   Replication.Source.note_lag t.source ~seq:(Atomic.get t.commit_seq)
 
-let admit t conn (frame : Wire.frame) work =
-  if stopping t then
-    reply t conn ~id:frame.Wire.frame_id
-      (Wire.Error
-         {
-           Wire.code = Wire.Shutting_down;
-           message = "server is draining; not accepting new work";
-         })
-  else if Queue.length t.pending >= t.config.queue_capacity then
-    reply t conn ~id:frame.Wire.frame_id
-      (Wire.Error
-         {
-           Wire.code = Wire.Busy;
-           message =
-             Printf.sprintf "request queue full (capacity %d)"
-               t.config.queue_capacity;
-         })
+(* ------------------------------------------------------------------ *)
+(* Request admission.                                                  *)
+
+let queue_depth t =
+  Array.fold_left (fun acc w -> acc + Atomic.get w.depth) 0 t.workers
+
+let note_depth t w =
+  let d = Queue.length w.queue + w.outstanding in
+  Atomic.set w.depth d;
+  Obs.Metrics.set w.queue_gauge (float_of_int d);
+  Obs.Metrics.set g_queue_depth (float_of_int (queue_depth t))
+
+(* The one admission path. Reads queue on the worker for the next
+   window; writer-only work is sent to the writer and counts against
+   the worker's capacity until its reply is back. [ensemble_stats] and
+   [promote] are admin requests: never refused as Busy or draining. *)
+let admit t w conn (frame : Wire.frame) work =
+  let admin =
+    match work with Wensemble_stats _ | Wpromote -> true | _ -> false
+  in
+  let refuse code message =
+    reply conn ~id:frame.Wire.frame_id
+      (Wire.Error { Wire.code = code; message })
+  in
+  if (not admin) && stopping t then
+    refuse Wire.Shutting_down "server is draining; not accepting new work"
+  else if
+    (not admin)
+    && Queue.length w.queue + w.outstanding >= t.config.queue_capacity
+  then
+    refuse Wire.Busy
+      (Printf.sprintf "request queue full (capacity %d)"
+         t.config.queue_capacity)
   else begin
     let admitted_s = now_s () in
     let expires_s =
@@ -1012,7 +957,7 @@ let admit t conn (frame : Wire.frame) work =
           Obs.Trace.alloc_id () )
       else (0., frame.Wire.frame_trace, 0)
     in
-    Queue.add
+    let p =
       {
         p_conn = conn;
         p_id = frame.Wire.frame_id;
@@ -1025,20 +970,26 @@ let admit t conn (frame : Wire.frame) work =
         p_req_span;
         admitted_us;
       }
-      t.pending;
-    Obs.Metrics.set g_queue_depth (float_of_int (Queue.length t.pending))
+    in
+    conn.inflight <- conn.inflight + 1;
+    (match work with
+    | Wpredict _ | Wensemble _ -> Queue.add p w.queue
+    | Wupdate _ | Wensemble_stats _ | Wpromote ->
+        w.outstanding <- w.outstanding + 1;
+        Mbox.push t.writer_mbox (Request (w.wid, p)));
+    note_depth t w
   end
 
 (* ------------------------------------------------------------------ *)
-(* Incoming bytes -> frames (shared by client conns and the link).     *)
+(* Incoming bytes -> frames (shared by every connection).              *)
 
-let slurp_gen ~scratch ~close conn =
+let slurp t ~scratch conn =
   try
     let continue = ref true in
     while !continue && not conn.closed do
       match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
       | 0 ->
-          close conn;
+          close_conn t conn;
           continue := false
       | n ->
           Buffer.add_subbytes conn.inbuf scratch 0 n;
@@ -1047,21 +998,19 @@ let slurp_gen ~scratch ~close conn =
   with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF | Unix.EPIPE), _, _) ->
-      close conn
-
-let slurp t conn = slurp_gen ~scratch:t.scratch ~close:(close_conn t) conn
+      close_conn t conn
 
 (* Only flatten the buffer once enough bytes for the next frame are in
-   — a dribbled large frame costs one copy, not one per read. [stop]
-   lets a dispatcher abort the parse after the current frame with the
-   remaining bytes preserved (connection handoff between domains). *)
-let parse_frames ?(stop = fun () -> false) conn ~dispatch ~on_bad =
+   — a dribbled large frame costs one copy, not one per read. Parsing
+   stops after a Subscribe frame, with the remaining bytes preserved
+   for the writer that takes the connection over. *)
+let parse_frames conn ~dispatch ~on_bad =
   if (not conn.closed) && Buffer.length conn.inbuf >= conn.need then begin
     let data = Buffer.contents conn.inbuf in
     let off = ref 0 in
     let continue = ref true in
     while !continue do
-      if stop () then begin
+      if conn.subscribe <> None then begin
         conn.need <- 4;
         continue := false
       end
@@ -1138,7 +1087,7 @@ let apply_snapshot_chunk t conn ~meta ~rev ~total ~offset ~data =
                     ("rev", Obs.Trace.Int art.Serving.Artifact.rev);
                     ("bytes", Obs.Trace.Int a.s_total);
                   ];
-              refresh_model t meta art
+              publish t art
         end
   end
 
@@ -1167,15 +1116,11 @@ let on_link_frame t conn (frame : Wire.frame) =
               with
               | [] -> []
               | states ->
-                  let predictor_of m =
-                    match get_model t m with
-                    | Ok c -> Some c.predictor
-                    | Error _ -> None
-                  in
                   List.filter_map
                     (fun s ->
                       match
-                        Ensemble.Manager.score ~predictor_of s
+                        Ensemble.Manager.score
+                          ~predictor_of:(writer_predictor t) s
                           ~xs:e.Serving.Journal.xs ~f:e.Serving.Journal.f
                       with
                       | s -> Some s
@@ -1212,7 +1157,7 @@ let on_link_frame t conn (frame : Wire.frame) =
                     ~start_us:apply_t0
                     ~dur_us:(Obs.Clock.now_us () -. apply_t0)
                     "repl_apply";
-                refresh_model t e.Serving.Journal.meta art;
+                publish t art;
                 (* BMA evidence phase 2: the entry applied, so the
                    scored states commit here too (a [Stale] replay must
                    not double-count evidence) *)
@@ -1243,18 +1188,6 @@ let on_link_frame t conn (frame : Wire.frame) =
            advances the applied sequence *)
         if seq > t.leader_seq then t.leader_seq <- seq;
         note_follower_lag t
-
-let link_dispatch t conn frame =
-  try on_link_frame t conn frame with _ -> close_conn t conn
-
-let drain_link t =
-  match t.link with
-  | Some l when (not l.closed) && l.peer = Link ->
-      slurp t l;
-      parse_frames l
-        ~dispatch:(link_dispatch t)
-        ~on_bad:(fun c _ -> close_conn t c)
-  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Request dispatch.                                                   *)
@@ -1288,9 +1221,12 @@ let ensemble_stats_payload t name : Wire.response =
           { json = Serving.Json.to_string (Ensemble.State.to_json ~resolve state) }
     | Error message -> Wire.Error { Wire.code = Wire.Model_not_found; message }
 
-let on_frame t conn (frame : Wire.frame) =
+(* The one frame dispatch, run by the worker that owns [conn]. *)
+let on_frame t w conn (frame : Wire.frame) =
   Atomic.incr t.served;
   Obs.Metrics.inc m_requests;
+  Obs.Metrics.inc w.requests;
+  let id = frame.Wire.frame_id in
   let decode_t0 =
     if Obs.Trace.enabled () && frame.Wire.frame_trace > 0 then
       Obs.Clock.now_us ()
@@ -1302,106 +1238,51 @@ let on_frame t conn (frame : Wire.frame) =
       ~parent:frame.Wire.frame_span ~start_us:decode_t0
       ~dur_us:(Obs.Clock.now_us () -. decode_t0)
       "srv_decode";
+  let admin resp =
+    Obs.Metrics.time h_admin (fun () -> reply conn ~id (resp ()))
+  in
+  let refuse_rows rows limit op =
+    reply conn ~id
+      (bad_request
+         (Printf.sprintf
+            "batch of %d points exceeds the %d-point response limit for %s"
+            rows limit op))
+  in
   match decoded with
   | Error message ->
       (* not speaking our dialect: answer once, then hang up *)
-      reply t conn ~id:frame.Wire.frame_id
-        (Wire.Error { Wire.code = Wire.Protocol; message });
+      reply conn ~id (Wire.Error { Wire.code = Wire.Protocol; message });
       conn.close_after_flush <- true
   | Ok req -> (
       match req with
-      | Wire.Ping_req ->
-          Obs.Metrics.time h_admin (fun () ->
-              reply t conn ~id:frame.Wire.frame_id Wire.Pong)
-      | Wire.Stats_req ->
-          Obs.Metrics.time h_admin (fun () ->
-              reply t conn ~id:frame.Wire.frame_id (stats_payload t))
-      | Wire.List_models_req ->
-          Obs.Metrics.time h_admin (fun () ->
-              reply t conn ~id:frame.Wire.frame_id (Wire.Models (model_infos t)))
+      | Wire.Ping_req -> admin (fun () -> Wire.Pong)
+      | Wire.Stats_req -> admin (fun () -> stats_payload t)
+      | Wire.List_models_req -> admin (fun () -> Wire.Models (model_infos t))
+      | Wire.Events_req ->
+          admin (fun () -> Wire.Events_payload { json = Obs.Events.to_json () })
       | Wire.Predict_req { meta; points; with_std } ->
           (* bound at admission so the response is guaranteed to frame *)
           let rows = Linalg.Mat.rows points in
           let limit = Wire.max_predict_rows ~with_std in
           if rows > limit then
-            reply t conn ~id:frame.Wire.frame_id
-              (bad_request
-                 (Printf.sprintf
-                    "batch of %d points exceeds the %d-point response \
-                     limit for %s"
-                    rows limit
-                    (Wire.opcode_name (if with_std then Wire.Predict_var else Wire.Predict))))
-          else admit t conn frame (Wpredict { meta; points; with_std })
+            refuse_rows rows limit
+              (Wire.opcode_name
+                 (if with_std then Wire.Predict_var else Wire.Predict))
+          else admit t w conn frame (Wpredict { meta; points; with_std })
       | Wire.Predict_ensemble_req { name; points } ->
           let rows = Linalg.Mat.rows points in
           if rows > Wire.max_ensemble_rows then
-            reply t conn ~id:frame.Wire.frame_id
-              (bad_request
-                 (Printf.sprintf
-                    "batch of %d points exceeds the %d-point response \
-                     limit for predict_ensemble"
-                    rows Wire.max_ensemble_rows))
-          else admit t conn frame (Wensemble { name; points })
-      | Wire.Ensemble_stats_req { name } ->
-          Obs.Metrics.time h_admin (fun () ->
-              reply t conn ~id:frame.Wire.frame_id
-                (ensemble_stats_payload t name))
+            refuse_rows rows Wire.max_ensemble_rows "predict_ensemble"
+          else admit t w conn frame (Wensemble { name; points })
       | Wire.Update_req { meta; xs; f } ->
           if Atomic.get t.leader <> None then
-            reply t conn ~id:frame.Wire.frame_id (not_leader_error t)
-          else admit t conn frame (Wupdate { meta; xs; f })
-      | Wire.Subscribe_req { vector } ->
-          Obs.Metrics.time h_admin (fun () ->
-              handle_subscribe t conn ~id:frame.Wire.frame_id vector)
-      | Wire.Repl_ack_req { seq } ->
-          (* fire-and-forget bookkeeping; never answered *)
-          if conn.peer = Subscriber then begin
-            Replication.Source.ack t.source conn ~seq;
-            Replication.Source.note_lag t.source ~seq:(Atomic.get t.commit_seq)
-          end
-      | Wire.Events_req ->
-          Obs.Metrics.time h_admin (fun () ->
-              reply t conn ~id:frame.Wire.frame_id
-                (Wire.Events_payload { json = Obs.Events.to_json () }))
-      | Wire.Promote_req ->
-          Obs.Metrics.time h_admin (fun () ->
-              match Atomic.get t.leader with
-              | None ->
-                  reply t conn ~id:frame.Wire.frame_id
-                    (Wire.Promoted
-                       {
-                         was_follower = false;
-                         journal_seq = Atomic.get t.commit_seq;
-                       })
-              | Some _ ->
-                  (* clean takeover: finish applying whatever the
-                     (possibly dead) leader already streamed, cut the
-                     link, flip the role — updates are accepted from the
-                     next frame on *)
-                  drain_link t;
-                  (match t.link with
-                  | Some l -> close_conn t l
-                  | None -> ());
-                  let was = Atomic.get t.leader in
-                  Atomic.set t.leader None;
-                  Hashtbl.reset t.snap;
-                  set_role_metric `Leader;
-                  Obs.Events.emit "promotion"
-                    ~fields:
-                      [
-                        ( "old_leader",
-                          Obs.Trace.Str
-                            (match was with
-                            | Some a -> address_to_string a
-                            | None -> "") );
-                        ("commit_seq", Obs.Trace.Int (Atomic.get t.commit_seq));
-                      ];
-                  reply t conn ~id:frame.Wire.frame_id
-                    (Wire.Promoted
-                       {
-                         was_follower = true;
-                         journal_seq = Atomic.get t.commit_seq;
-                       })))
+            reply conn ~id (not_leader_error t)
+          else admit t w conn frame (Wupdate { meta; xs; f })
+      | Wire.Ensemble_stats_req { name } ->
+          admit t w conn frame (Wensemble_stats name)
+      | Wire.Promote_req -> admit t w conn frame Wpromote
+      | Wire.Subscribe_req { vector } -> conn.subscribe <- Some (id, vector)
+      | Wire.Repl_ack_req _ -> () (* only meaningful on a subscriber *))
 
 (* ------------------------------------------------------------------ *)
 (* Scrape endpoint: a minimal HTTP/1.1 responder for GET /metrics,
@@ -1417,24 +1298,6 @@ let http_response ~status ~content_type body =
      close\r\n\r\n%s"
     status content_type (String.length body) body
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_num f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
 (* Readiness: a leader is ready the moment it serves (recovery completed
    in [create]); a follower is ready once the current link's catch-up
    finished, i.e. it has seen a [Repl_status] and is applying live. *)
@@ -1444,44 +1307,55 @@ let is_ready t =
   | Some _ -> (not (stopping t)) && t.catch_up_done && t.link <> None
 
 let health_json t =
-  let ensembles =
-    List.map
-      (fun s -> Serving.Json.to_string (Ensemble.State.to_json s))
-      (Ensemble.Manager.list t.ensembles)
-  in
+  let module J = Serving.Json in
+  let int i = J.Num (float_of_int i) in
+  let num f = if Float.is_finite f then J.Num f else J.Null in
   let models =
     Hashtbl.fold
       (fun meta (seq, delay) acc ->
-        Printf.sprintf
-          "{\"model\":\"%s\",\"applied_seq\":%d,\"lag_entries\":%d,\
-           \"lag_seconds\":%s}"
-          (json_escape (Serving.Calibration.model_label meta))
-          seq
-          (max 0 (t.leader_seq - seq))
-          (json_num delay)
+        J.Obj
+          [
+            ("model", J.Str (Serving.Calibration.model_label meta));
+            ("applied_seq", int seq);
+            ("lag_entries", int (max 0 (t.leader_seq - seq)));
+            ("lag_seconds", num delay);
+          ]
         :: acc)
       t.model_apply []
   in
-  Printf.sprintf
-    "{\"role\":\"%s\",\"ready\":%b,\"uptime_s\":%s,\"shards\":%d,\
-     \"queue_depth\":%d,\
-     \"connections\":%d,\"commit_seq\":%d,\"leader_seq\":%d,\
-     \"repl_lag_entries\":%d,\"repl_lag_seconds\":%s,\
-     \"recovery\":{\"replayed\":%d,\"discarded\":%d,\"corrupt\":%d},\
-     \"ensembles\":[%s],\"models\":[%s]}"
-    (match Atomic.get t.leader with None -> "leader" | Some _ -> "follower")
-    (is_ready t)
-    (json_num (now_s () -. t.started_mono))
-    (shard_count t)
-    (Queue.length t.pending)
-    (Atomic.get t.conn_count)
-    (Atomic.get t.commit_seq) t.leader_seq
-    (max 0 (t.leader_seq - Atomic.get t.commit_seq))
-    (json_num t.last_apply_delay)
-    t.recovery.Serving.Recovery.replayed t.recovery.Serving.Recovery.discarded
-    (List.length t.recovery.Serving.Recovery.corrupt)
-    (String.concat "," ensembles)
-    (String.concat "," models)
+  let recovery = t.recovery in
+  J.to_string
+    (J.Obj
+       [
+         ( "role",
+           J.Str
+             (match Atomic.get t.leader with
+             | None -> "leader"
+             | Some _ -> "follower") );
+         ("ready", J.Bool (is_ready t));
+         ("uptime_s", num (now_s () -. t.started_mono));
+         ("shards", int (shard_count t));
+         ("queue_depth", int (queue_depth t));
+         ("connections", int (Atomic.get t.conn_count));
+         ("commit_seq", int (Atomic.get t.commit_seq));
+         ("leader_seq", int t.leader_seq);
+         ( "repl_lag_entries",
+           int (max 0 (t.leader_seq - Atomic.get t.commit_seq)) );
+         ("repl_lag_seconds", num t.last_apply_delay);
+         ( "recovery",
+           J.Obj
+             [
+               ("replayed", int recovery.Serving.Recovery.replayed);
+               ("discarded", int recovery.Serving.Recovery.discarded);
+               ("corrupt", int (List.length recovery.Serving.Recovery.corrupt));
+             ] );
+         ( "ensembles",
+           J.Arr
+             (List.map
+                (fun s -> Ensemble.State.to_json s)
+                (Ensemble.Manager.list t.ensembles)) );
+         ("models", J.Arr models);
+       ])
 
 let http_route t request_line =
   match String.split_on_char ' ' request_line with
@@ -1565,32 +1439,56 @@ let handle_http t conn =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Incoming bytes -> frames.                                           *)
+(* The read path, shared by every connection. [dispatch] serves a wire
+   frame on a client or subscriber connection; the leader link and
+   scrape peers have their own handlers.                               *)
 
-(* The writer's parse of a client/subscriber connection; also run over
-   the residual bytes of a connection adopted from a shard. *)
-let client_parse t conn =
-  parse_frames conn
-    ~dispatch:(fun c frame ->
-      (* crash containment: no single request may kill the loop *)
-      try on_frame t c frame
-      with e ->
-        reply t c ~id:frame.Wire.frame_id (internal_error e);
-        c.close_after_flush <- true)
-    ~on_bad:(fun c message ->
-      reply t c ~id:0 (Wire.Error { Wire.code = Wire.Protocol; message });
-      c.close_after_flush <- true)
-
-let read_conn t conn =
-  slurp t conn;
+let parse_conn t ~dispatch conn =
   match conn.peer with
   | Http -> if not conn.closed then handle_http t conn
   | Link_pending -> () (* nothing to parse until the connect completes *)
   | Link ->
       parse_frames conn
-        ~dispatch:(link_dispatch t)
+        ~dispatch:(fun c frame ->
+          try on_link_frame t c frame with _ -> close_conn t c)
         ~on_bad:(fun c _ -> close_conn t c)
-  | Client | Subscriber -> client_parse t conn
+  | Client | Subscriber ->
+      parse_frames conn
+        ~dispatch:(fun c frame ->
+          (* crash containment: no single request may kill the loop *)
+          try dispatch c frame
+          with e ->
+            reply c ~id:frame.Wire.frame_id (internal_error e);
+            c.close_after_flush <- true)
+        ~on_bad:(fun c message ->
+          reply c ~id:0 (Wire.Error { Wire.code = Wire.Protocol; message });
+          c.close_after_flush <- true)
+
+let read_conn t ~scratch ~dispatch conn =
+  slurp t ~scratch conn;
+  parse_conn t ~dispatch conn
+
+(* Descriptors a loop selects on for its connections (closed ones
+   await pruning): a conn is read unless it is closing, waiting to move
+   to the writer, or has too much output queued; it is written while
+   output is queued (or, for the leader link, while the connect is in
+   flight). *)
+let read_fds conns =
+  List.filter_map
+    (fun c ->
+      if c.closed || c.close_after_flush || c.subscribe <> None
+         || c.out_bytes >= max_buffered_out
+      then None
+      else Some c.fd)
+    conns
+
+let write_fds conns =
+  List.filter_map
+    (fun c ->
+      if (not c.closed) && (c.peer = Link_pending || not (Queue.is_empty c.out))
+      then Some c.fd
+      else None)
+    conns
 
 let mk_conn ~peer ~read_deadline_s fd =
   {
@@ -1604,8 +1502,12 @@ let mk_conn ~peer ~read_deadline_s fd =
     closed = false;
     peer;
     read_deadline_s;
+    inflight = 0;
+    subscribe = None;
   }
 
+(* Client connections are dealt round-robin to the workers and live
+   their whole life there; scrape connections stay on the writer. *)
 let accept_loop ?(peer = Client) t lfd =
   let continue = ref true in
   while !continue do
@@ -1615,23 +1517,17 @@ let accept_loop ?(peer = Client) t lfd =
         Obs.Metrics.inc m_connections;
         Atomic.incr t.conn_count;
         Obs.Metrics.set g_connections (float_of_int (Atomic.get t.conn_count));
-        if peer = Client && Array.length t.shards > 0 then begin
-          (* sharded: the acceptor only accepts; the connection lives
-             its whole life on one worker domain *)
-          let sid = t.shard_rr mod Array.length t.shards in
-          t.shard_rr <- t.shard_rr + 1;
-          Mbox.push t.shards.(sid).s_mbox (S_conn fd)
+        if peer = Client then begin
+          let w = t.workers.(t.next_worker mod Array.length t.workers) in
+          t.next_worker <- t.next_worker + 1;
+          Mbox.push w.mbox (Accepted fd)
         end
-        else begin
-          let read_deadline_s =
-            (* scrape peers must complete a request promptly or vacate
-               the slot; wire peers may idle between requests *)
-            if peer = Http then now_s () +. t.config.http_idle_s
-            else infinity
-          in
-          let conn = mk_conn ~peer ~read_deadline_s fd in
-          t.conns <- conn :: t.conns
-        end
+        else
+          (* scrape peers must complete a request promptly or vacate
+             the slot; wire peers may idle between requests *)
+          t.conns <-
+            mk_conn ~peer ~read_deadline_s:(now_s () +. t.config.http_idle_s) fd
+            :: t.conns
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
@@ -1647,31 +1543,40 @@ let opcode_histogram = function
   | Wpredict { with_std = true; _ } -> h_predict_var
   | Wupdate _ -> h_update
   | Wensemble _ -> h_ensemble
+  | Wensemble_stats _ | Wpromote -> h_admin
 
 let work_name = function
   | Wpredict { with_std = false; _ } -> "predict"
   | Wpredict { with_std = true; _ } -> "predict_var"
   | Wupdate _ -> "update"
   | Wensemble _ -> "predict_ensemble"
+  | Wensemble_stats _ -> "ensemble_stats"
+  | Wpromote -> "promote"
 
-let finish t (p : pending) resp =
+(* Account, trace and frame one admitted request's response, on
+   whichever domain served it; only the owning worker queues the
+   frame on the connection. *)
+let complete t (p : pending) resp =
   let done_s = now_s () in
   Obs.Metrics.observe (opcode_histogram p.work) (done_s -. p.admitted_s);
-  if Obs.Trace.enabled () && p.p_req_span > 0 then begin
-    let r0 = Obs.Clock.now_us () in
-    reply t p.p_conn ~id:p.p_id resp;
-    let r1 = Obs.Clock.now_us () in
-    Obs.Trace.complete ~cat:"server" ~trace:p.p_trace ~parent:p.p_req_span
-      ~start_us:r0 ~dur_us:(r1 -. r0) "srv_reply";
-    (* the whole request, admission to reply, child of the client span *)
-    Obs.Trace.complete ~cat:"server" ~trace:p.p_trace ~parent:p.p_span
-      ~id:p.p_req_span
-      ~attrs:[ ("op", Obs.Trace.Str (work_name p.work)) ]
-      ~start_us:p.admitted_us
-      ~dur_us:(Float.max 0. (r1 -. p.admitted_us))
-      "srv_request"
-  end
-  else reply t p.p_conn ~id:p.p_id resp;
+  let frame =
+    if Obs.Trace.enabled () && p.p_req_span > 0 then begin
+      let r0 = Obs.Clock.now_us () in
+      let frame = encode_reply ~id:p.p_id resp in
+      let r1 = Obs.Clock.now_us () in
+      Obs.Trace.complete ~cat:"server" ~trace:p.p_trace ~parent:p.p_req_span
+        ~start_us:r0 ~dur_us:(r1 -. r0) "srv_reply";
+      (* the whole request, admission to reply, child of the client span *)
+      Obs.Trace.complete ~cat:"server" ~trace:p.p_trace ~parent:p.p_span
+        ~id:p.p_req_span
+        ~attrs:[ ("op", Obs.Trace.Str (work_name p.work)) ]
+        ~start_us:p.admitted_us
+        ~dur_us:(Float.max 0. (r1 -. p.admitted_us))
+        "srv_request";
+      frame
+    end
+    else encode_reply ~id:p.p_id resp
+  in
   if
     Obs.Events.enabled ()
     && done_s -. p.admitted_s > t.config.slow_request_s
@@ -1682,7 +1587,21 @@ let finish t (p : pending) resp =
           ("op", Obs.Trace.Str (work_name p.work));
           ("id", Obs.Trace.Int p.p_id);
           ("seconds", Obs.Trace.Float (done_s -. p.admitted_s));
-        ]
+        ];
+  frame
+
+(* Worker side: answer a queued request on its connection. *)
+let finish t (p : pending) resp =
+  p.p_conn.inflight <- p.p_conn.inflight - 1;
+  send p.p_conn (complete t p resp)
+
+(* Queue span: admission to execution start, per request. *)
+let trace_queued (p : pending) ~start_us =
+  if p.p_req_span > 0 then
+    Obs.Trace.complete ~cat:"server" ~trace:p.p_trace ~parent:p.p_req_span
+      ~start_us:p.admitted_us
+      ~dur_us:(Float.max 0. (start_us -. p.admitted_us))
+      "srv_queue"
 
 (* The fused design-matrix buffer is reused across windows when the
    shape repeats (the steady state under load): every cell is
@@ -1735,142 +1654,151 @@ let model_arena arena ~meta ~slot predictor total =
   end;
   ma
 
-(* One group = same model, same opcode. Requests whose dimensionality
-   does not match are answered individually; the rest fuse into blocked
-   predictor calls of at most [max_batch] points (splitting only at
-   request boundaries keeps the re-split trivial and the answers
-   bit-identical). [predictor_of] is the executor's model lookup: the
-   writer's LRU cache, or a shard's published snapshot. *)
-let run_predict_group t ~predictor_of ~arena meta with_std members =
-  match (predictor_of meta : (Serving.Predictor.t, Wire.error) result) with
-  | Error e ->
-      List.iter (fun (p, _) -> finish t p (Wire.Error e)) members
-  | Ok predictor ->
-      let dim = Polybasis.Basis.dim (Serving.Predictor.basis predictor) in
-      let ok, bad =
-        List.partition
-          (fun (_, (points : Linalg.Mat.t)) -> Linalg.Mat.cols points = dim)
-          members
+(* Lock-free model lookup against the published snapshot. A model that
+   exists on disk but is not yet published (e.g. saved after this
+   daemon started) is served from a locally built predictor while the
+   writer is asked to publish it for every worker. *)
+let worker_predictor t meta : (Serving.Predictor.t, Wire.error) result =
+  match Serving.Snapshot.find (Serving.Snapshot.current t.snapshot) meta with
+  | Some e -> Ok e.Serving.Snapshot.predictor
+  | None -> (
+      match Serving.Store.load ~root:t.root meta with
+      | Error message -> Error { Wire.code = Wire.Model_not_found; message }
+      | Ok artifact ->
+          Mbox.push t.writer_mbox (Publish meta);
+          Ok (Serving.Predictor.of_artifact artifact))
+
+(* Batching and fusing shared by model and ensemble groups. Requests
+   whose dimensionality does not match [dim] are answered individually
+   ([label] names the target); the rest fuse into blocked kernel calls
+   of at most [max_batch] points, split only at request boundaries so
+   the re-split is trivial and the answers bit-identical. [kernel fused
+   total] runs one fused call and returns the answer for the [rows]
+   request rows starting at fused row [at]; a zero-row batch gets
+   [empty]. *)
+let run_fused t ~arena ~dim ~label ~empty ~kernel members =
+  let ok, bad =
+    List.partition
+      (fun (_, (points : Linalg.Mat.t)) -> Linalg.Mat.cols points = dim)
+      members
+  in
+  List.iter
+    (fun (p, (points : Linalg.Mat.t)) ->
+      finish t p
+        (bad_request
+           (Printf.sprintf
+              "%s: query dimension mismatch: expected %d variables, got %d"
+              label dim (Linalg.Mat.cols points))))
+    bad;
+  (* greedy sub-batches bounded by max_batch points *)
+  let rec batches acc cur cur_rows = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | ((_, points) as m) :: rest ->
+        let r = Linalg.Mat.rows points in
+        if cur <> [] && cur_rows + r > t.config.max_batch then
+          batches (List.rev cur :: acc) [ m ] r rest
+        else batches acc (m :: cur) (cur_rows + r) rest
+  in
+  List.iter
+    (fun batch ->
+      let total =
+        List.fold_left (fun acc (_, p) -> acc + Linalg.Mat.rows p) 0 batch
       in
-      List.iter
-        (fun (p, (points : Linalg.Mat.t)) ->
-          finish t p
-            (bad_request
-               (Printf.sprintf
-                  "model %s/%s: query dimension mismatch: expected %d \
-                   variables, got %d"
-                  meta.Serving.Artifact.circuit meta.Serving.Artifact.metric
-                  dim (Linalg.Mat.cols points))))
-        bad;
-      (* greedy sub-batches bounded by max_batch points *)
-      let rec batches acc cur cur_rows = function
-        | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-        | ((_, points) as m) :: rest ->
-            let r = Linalg.Mat.rows points in
-            if cur <> [] && cur_rows + r > t.config.max_batch then
-              batches (List.rev cur :: acc) [ m ] r rest
-            else batches acc (m :: cur) (cur_rows + r) rest
-      in
-      List.iter
-        (fun batch ->
-          let total =
-            List.fold_left
-              (fun acc (_, p) -> acc + Linalg.Mat.rows p)
-              0 batch
-          in
-          if total = 0 then
-            List.iter
-              (fun (p, _) ->
-                finish t p
-                  (Wire.Predicted
-                     {
-                       means = [||];
-                       stds = (if with_std then Some [||] else None);
-                     }))
-              batch
-          else begin
-            let fused = fused_buffer arena.ar_fused total dim in
+      if total = 0 then List.iter (fun (p, _) -> finish t p empty) batch
+      else begin
+        let fused = fused_buffer arena.ar_fused total dim in
+        let at = ref 0 in
+        List.iter
+          (fun (_, (points : Linalg.Mat.t)) ->
+            Linalg.Mat.blit_rows ~src:points ~dst:fused ~dst_row:!at;
+            at := !at + Linalg.Mat.rows points)
+          batch;
+        Obs.Metrics.inc m_microbatches;
+        Obs.Metrics.set g_batch_points (float_of_int total);
+        let k0 = if Obs.Trace.enabled () then Obs.Clock.now_us () else 0. in
+        match kernel fused total with
+        | exception e ->
+            List.iter (fun (p, _) -> finish t p (internal_error e)) batch
+        | answer ->
+            (* each member's trace shows the shared fused-kernel window
+               it rode in (same interval, own parent) *)
+            (if Obs.Trace.enabled () then
+               let k1 = Obs.Clock.now_us () in
+               List.iter
+                 (fun (p, _) ->
+                   if p.p_req_span > 0 then
+                     Obs.Trace.complete ~cat:"server" ~trace:p.p_trace
+                       ~parent:p.p_req_span
+                       ~attrs:[ ("points", Obs.Trace.Int total) ]
+                       ~start_us:k0 ~dur_us:(k1 -. k0) "srv_kernel")
+                 batch);
             let at = ref 0 in
             List.iter
-              (fun (_, (points : Linalg.Mat.t)) ->
+              (fun (p, (points : Linalg.Mat.t)) ->
                 let rows = Linalg.Mat.rows points in
-                Linalg.Mat.blit_rows ~src:points ~dst:fused ~dst_row:!at;
+                finish t p
+                  (try answer ~at:!at ~rows with e -> internal_error e);
                 at := !at + rows)
-              batch;
-            Obs.Metrics.inc m_microbatches;
-            Obs.Metrics.set g_batch_points (float_of_int total);
-            let k0 =
-              if Obs.Trace.enabled () then Obs.Clock.now_us () else 0.
-            in
-            (* allocation-free kernels into this executor's arena; the
-               [_into] twins are bit-identical to the allocating calls
-               they replace, and the re-split below copies each
-               request's slice out before the buffers are reused *)
-            let ma = model_arena arena ~meta ~slot:0 predictor total in
-            match
-              if with_std then begin
-                Serving.Predictor.predict_with_std_into predictor
-                  ~scratch:ma.ma_scratch fused ~means:ma.ma_means
-                  ~stds:ma.ma_stds;
-                (ma.ma_means, Some ma.ma_stds)
-              end
-              else begin
-                Serving.Predictor.predict_into predictor
-                  ~scratch:ma.ma_scratch fused ~means:ma.ma_means;
-                (ma.ma_means, None)
-              end
-            with
-            | exception e ->
-                List.iter (fun (p, _) -> finish t p (internal_error e)) batch
-            | means, stds ->
-                (* each member's trace shows the shared fused-kernel
-                   window it rode in (same interval, own parent) *)
-                (if Obs.Trace.enabled () then
-                   let k1 = Obs.Clock.now_us () in
-                   List.iter
-                     (fun (p, _) ->
-                       if p.p_req_span > 0 then
-                         Obs.Trace.complete ~cat:"server" ~trace:p.p_trace
-                           ~parent:p.p_req_span
-                           ~attrs:[ ("points", Obs.Trace.Int total) ]
-                           ~start_us:k0 ~dur_us:(k1 -. k0) "srv_kernel")
-                     batch);
-                let at = ref 0 in
-                List.iter
-                  (fun (p, (points : Linalg.Mat.t)) ->
-                    let rows = Linalg.Mat.rows points in
-                    let sub arr = Array.sub arr !at rows in
-                    finish t p
-                      (Wire.Predicted
-                         {
-                           means = sub means;
-                           stds = Option.map sub stds;
-                         });
-                    at := !at + rows)
-                  batch
-          end)
-        (batches [] [] 0 ok)
+              batch
+      end)
+    (batches [] [] 0 ok)
+
+(* One group = same model, same opcode, one allocation-free kernel
+   call per fused batch into this worker's arena; the [_into] twins are
+   bit-identical to the allocating calls they replace, and the re-split
+   copies each request's slice out before the buffers are reused. *)
+let run_predict_group t ~arena meta with_std members =
+  match worker_predictor t meta with
+  | Error e -> List.iter (fun (p, _) -> finish t p (Wire.Error e)) members
+  | Ok predictor ->
+      run_fused t ~arena
+        ~dim:(Polybasis.Basis.dim (Serving.Predictor.basis predictor))
+        ~label:
+          (Printf.sprintf "model %s/%s" meta.Serving.Artifact.circuit
+             meta.Serving.Artifact.metric)
+        ~empty:
+          (Wire.Predicted
+             { means = [||]; stds = (if with_std then Some [||] else None) })
+        ~kernel:(fun fused total ->
+          let ma = model_arena arena ~meta ~slot:0 predictor total in
+          if with_std then
+            Serving.Predictor.predict_with_std_into predictor
+              ~scratch:ma.ma_scratch fused ~means:ma.ma_means ~stds:ma.ma_stds
+          else
+            Serving.Predictor.predict_into predictor ~scratch:ma.ma_scratch
+              fused ~means:ma.ma_means;
+          fun ~at ~rows ->
+            let sub arr = Array.sub arr at rows in
+            Wire.Predicted
+              {
+                means = sub ma.ma_means;
+                stds = (if with_std then Some (sub ma.ma_stds) else None);
+              })
+        members
 
 (* One group = same ensemble. The weight vector and member set come
-   from the published state (identical on every shard), each
+   from the published state (identical on every worker), each
    positive-weight member's kernel runs once over the requests' fused
    rows, and the per-request re-split feeds
    [Ensemble.Predictor.combine] — whose row-wise fold makes the result
    bit-identical to a direct member-by-member computation at any shard
    count or pool width. *)
-let run_ensemble_group t ~predictor_of ~arena name members =
+let run_ensemble_group t ~arena name members =
+  let fail_all resp = List.iter (fun (p, _) -> finish t p resp) members in
   match Ensemble.Manager.find t.ensembles name with
   | None ->
-      let e =
-        {
-          Wire.code = Wire.Model_not_found;
-          message = Printf.sprintf "ensemble: no ensemble %S loaded" name;
-        }
-      in
-      List.iter (fun (p, _) -> finish t p (Wire.Error e)) members
-  | Some state ->
+      fail_all
+        (Wire.Error
+           {
+             Wire.code = Wire.Model_not_found;
+             message = Printf.sprintf "ensemble: no ensemble %S loaded" name;
+           })
+  | Some state -> (
       let n = Array.length state.Ensemble.State.members in
       let weights = Ensemble.State.weights state in
+      let meta_of i =
+        state.Ensemble.State.members.(i).Ensemble.State.meta
+      in
       let first_err = ref None in
       (* resolve every positive-weight member's predictor up front; a
          missing member fails the whole group (a partial ensemble would
@@ -1878,9 +1806,7 @@ let run_ensemble_group t ~predictor_of ~arena name members =
       let preds =
         Array.init n (fun i ->
             if weights.(i) > 0. && !first_err = None then
-              match
-                predictor_of state.Ensemble.State.members.(i).Ensemble.State.meta
-              with
+              match worker_predictor t (meta_of i) with
               | Ok p -> Some p
               | Error e ->
                   first_err := Some e;
@@ -1888,163 +1814,71 @@ let run_ensemble_group t ~predictor_of ~arena name members =
             else None)
       in
       let dim =
-        let rec go i =
-          if i >= n then None
-          else
-            match preds.(i) with
-            | Some p ->
+        Array.fold_left
+          (fun acc p ->
+            match (acc, p) with
+            | None, Some p ->
                 Some (Polybasis.Basis.dim (Serving.Predictor.basis p))
-            | None -> go (i + 1)
-        in
-        go 0
+            | _ -> acc)
+          None preds
       in
-      (match (!first_err, dim) with
-      | Some e, _ ->
-          List.iter (fun (p, _) -> finish t p (Wire.Error e)) members
+      match (!first_err, dim) with
+      | Some e, _ -> fail_all (Wire.Error e)
       | None, None ->
-          List.iter
-            (fun (p, _) ->
-              finish t p
-                (bad_request
-                   (Printf.sprintf "ensemble %S has no active member" name)))
-            members
+          fail_all
+            (bad_request
+               (Printf.sprintf "ensemble %S has no active member" name))
       | None, Some dim ->
-          let ok, bad =
-            List.partition
-              (fun (_, (points : Linalg.Mat.t)) ->
-                Linalg.Mat.cols points = dim)
-              members
-          in
-          List.iter
-            (fun (p, (points : Linalg.Mat.t)) ->
-              finish t p
-                (bad_request
-                   (Printf.sprintf
-                      "ensemble %S: query dimension mismatch: expected %d \
-                       variables, got %d"
-                      name dim (Linalg.Mat.cols points))))
-            bad;
-          let rec batches acc cur cur_rows = function
-            | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-            | ((_, points) as m) :: rest ->
-                let r = Linalg.Mat.rows points in
-                if cur <> [] && cur_rows + r > t.config.max_batch then
-                  batches (List.rev cur :: acc) [ m ] r rest
-                else batches acc (m :: cur) (cur_rows + r) rest
-          in
-          List.iter
-            (fun batch ->
-              let total =
-                List.fold_left
-                  (fun acc (_, p) -> acc + Linalg.Mat.rows p)
-                  0 batch
-              in
-              if total = 0 then
-                List.iter
-                  (fun (p, _) ->
-                    finish t p
-                      (Wire.Ensemble_predicted
-                         { means = [||]; within = [||]; between = [||] }))
-                  batch
-              else begin
-                let fused = fused_buffer arena.ar_fused total dim in
-                let at = ref 0 in
-                List.iter
-                  (fun (_, (points : Linalg.Mat.t)) ->
-                    let rows = Linalg.Mat.rows points in
-                    Linalg.Mat.blit_rows ~src:points ~dst:fused ~dst_row:!at;
-                    at := !at + rows)
-                  batch;
-                Obs.Metrics.inc m_microbatches;
-                Obs.Metrics.set g_batch_points (float_of_int total);
-                let k0 =
-                  if Obs.Trace.enabled () then Obs.Clock.now_us () else 0.
-                in
-                match
-                  (* each member slot gets its own arena slice
-                     ([slot = i + 1]) so members sharing a model can
-                     never alias output buffers *)
-                  Array.mapi
-                    (fun i -> function
-                      | None -> ([||], [||])
-                      | Some p ->
-                          let meta =
-                            state.Ensemble.State.members.(i)
-                              .Ensemble.State.meta
-                          in
-                          let ma =
-                            model_arena arena ~meta ~slot:(i + 1) p total
-                          in
-                          Serving.Predictor.predict_with_std_into p
-                            ~scratch:ma.ma_scratch fused ~means:ma.ma_means
-                            ~stds:ma.ma_stds;
-                          (ma.ma_means, ma.ma_stds))
-                    preds
-                with
-                | exception e ->
-                    List.iter
-                      (fun (p, _) -> finish t p (internal_error e))
-                      batch
-                | member_out ->
-                    (if Obs.Trace.enabled () then
-                       let k1 = Obs.Clock.now_us () in
-                       List.iter
-                         (fun (p, _) ->
-                           if p.p_req_span > 0 then
-                             Obs.Trace.complete ~cat:"server" ~trace:p.p_trace
-                               ~parent:p.p_req_span
-                               ~attrs:[ ("points", Obs.Trace.Int total) ]
-                               ~start_us:k0 ~dur_us:(k1 -. k0) "srv_kernel")
-                         batch);
-                    let at = ref 0 in
-                    List.iter
-                      (fun (p, (points : Linalg.Mat.t)) ->
-                        let rows = Linalg.Mat.rows points in
-                        let resp =
-                          match
-                            (* inactive members carry empty arrays and
-                               are never read by [combine] *)
-                            let means =
-                              Array.map
-                                (fun ((m : float array), _) ->
-                                  if Array.length m = 0 then [||]
-                                  else Array.sub m !at rows)
-                                member_out
-                            in
-                            let stds =
-                              Array.map
-                                (fun (_, (s : float array)) ->
-                                  if Array.length s = 0 then [||]
-                                  else Array.sub s !at rows)
-                                member_out
-                            in
-                            Ensemble.Predictor.combine ~weights ~means ~stds
-                          with
-                          | mu, within, between ->
-                              Wire.Ensemble_predicted
-                                { means = mu; within; between }
-                          | exception e -> internal_error e
+          run_fused t ~arena ~dim
+            ~label:(Printf.sprintf "ensemble %S" name)
+            ~empty:
+              (Wire.Ensemble_predicted
+                 { means = [||]; within = [||]; between = [||] })
+            ~kernel:(fun fused total ->
+              (* each member slot gets its own arena slice
+                 ([slot = i + 1]) so members sharing a model can never
+                 alias output buffers *)
+              let member_out =
+                Array.mapi
+                  (fun i -> function
+                    | None -> ([||], [||])
+                    | Some p ->
+                        let ma =
+                          model_arena arena ~meta:(meta_of i) ~slot:(i + 1) p
+                            total
                         in
-                        finish t p resp;
-                        at := !at + rows)
-                      batch
-              end)
-            (batches [] [] 0 ok))
+                        Serving.Predictor.predict_with_std_into p
+                          ~scratch:ma.ma_scratch fused ~means:ma.ma_means
+                          ~stds:ma.ma_stds;
+                        (ma.ma_means, ma.ma_stds))
+                  preds
+              in
+              fun ~at ~rows ->
+                (* inactive members carry empty arrays and are never
+                   read by [combine] *)
+                let sub (arr : float array) =
+                  if Array.length arr = 0 then [||] else Array.sub arr at rows
+                in
+                let mu, within, between =
+                  Ensemble.Predictor.combine ~weights
+                    ~means:(Array.map (fun (m, _) -> sub m) member_out)
+                    ~stds:(Array.map (fun (_, s) -> sub s) member_out)
+                in
+                Wire.Ensemble_predicted { means = mu; within; between })
+            members)
 
-(* The single-writer commit path, shared by updates admitted on the
-   writer's own connections and updates forwarded from shards: journal
-   append -> incremental fold -> durable save -> journal truncate ->
-   cache refresh + snapshot publish -> replication fan-out. Returns the
-   response; never queues it ([trace_id]/[push_parent] ride the
-   replication push, [req_span] parents the kernel span when > 0). *)
-let commit_update t ~trace_id ~push_parent ~req_span meta xs f :
-    Wire.response =
-  match get_model t meta with
+(* The single-writer commit path: journal append -> incremental fold ->
+   durable save -> journal truncate -> snapshot publish -> replication
+   fan-out. Returns the response; the caller frames it. The push
+   carries [p]'s trace context and [p]'s server span parents the
+   kernel span. *)
+let commit_update t (p : pending) meta xs f : Wire.response =
+  match writer_model t meta with
   | Error e -> Wire.Error e
-  | Ok cached -> (
-      let dim =
-        Polybasis.Basis.dim (Serving.Predictor.basis cached.predictor)
-      in
+  | Ok current -> (
+      let artifact = current.Serving.Snapshot.artifact in
+      let predictor = current.Serving.Snapshot.predictor in
+      let dim = Polybasis.Basis.dim (Serving.Predictor.basis predictor) in
       if Linalg.Mat.cols xs <> dim then
         bad_request
           (Printf.sprintf
@@ -2056,7 +1890,7 @@ let commit_update t ~trace_id ~push_parent ~req_span meta xs f :
         let entry =
           {
             Serving.Journal.meta;
-            base_rev = cached.artifact.Serving.Artifact.rev;
+            base_rev = artifact.Serving.Artifact.rev;
             xs;
             f;
           }
@@ -2065,28 +1899,22 @@ let commit_update t ~trace_id ~push_parent ~req_span meta xs f :
            PRE-update posterior (the model as it was when these samples
            arrived); a no-op unless metrics are on *)
         if Obs.Metrics.enabled () then
-          Serving.Calibration.record_update ~predictor:cached.predictor
-            ~meta ~xs ~f;
+          Serving.Calibration.record_update ~predictor ~meta ~xs ~f;
         (* BMA evidence, phase 1 (pure): every ensemble containing this
            model scores the incoming batch under its members'
            *pre-update* predictors — genuinely held-out density for the
            member about to absorb these samples. Committed only after
            the update itself commits. *)
         let scored_ensembles =
-          match Ensemble.Manager.containing t.ensembles meta with
-          | [] -> []
-          | states ->
-              let predictor_of m =
-                match get_model t m with
-                | Ok c -> Some c.predictor
-                | Error _ -> None
-              in
-              List.filter_map
-                (fun s ->
-                  match Ensemble.Manager.score ~predictor_of s ~xs ~f with
-                  | s -> Some s
-                  | exception _ -> None)
-                states
+          List.filter_map
+            (fun s ->
+              match
+                Ensemble.Manager.score ~predictor_of:(writer_predictor t) s
+                  ~xs ~f
+              with
+              | s -> Some s
+              | exception _ -> None)
+            (Ensemble.Manager.containing t.ensembles meta)
         in
         let k0 = if Obs.Trace.enabled () then Obs.Clock.now_us () else 0. in
         match
@@ -2094,7 +1922,7 @@ let commit_update t ~trace_id ~push_parent ~req_span meta xs f :
              crash anywhere past this point can no longer lose the
              update — recovery replays it against the base revision *)
           Serving.Journal.append t.journal entry;
-          let upd = Serving.Incremental.of_artifact cached.artifact in
+          let upd = Serving.Incremental.of_artifact artifact in
           Serving.Incremental.add_batch upd ~xs ~f;
           let updated = Serving.Incremental.to_artifact upd in
           ignore
@@ -2112,14 +1940,14 @@ let commit_update t ~trace_id ~push_parent ~req_span meta xs f :
             (try Serving.Journal.truncate t.journal with _ -> ());
             internal_error e
         | updated ->
-            if Obs.Trace.enabled () && req_span > 0 then
-              Obs.Trace.complete ~cat:"server" ~trace:trace_id
-                ~parent:req_span
+            if Obs.Trace.enabled () && p.p_req_span > 0 then
+              Obs.Trace.complete ~cat:"server" ~trace:p.p_trace
+                ~parent:p.p_req_span
                 ~attrs:[ ("rev", Obs.Trace.Int updated.Serving.Artifact.rev) ]
                 ~start_us:k0
                 ~dur_us:(Obs.Clock.now_us () -. k0)
                 "srv_kernel";
-            refresh_model t meta updated;
+            publish t updated;
             (* BMA evidence, phase 2: the update committed, so the
                scored ensemble states become durable and visible. A
                failed ensemble save must not fail the acked update. *)
@@ -2136,18 +1964,15 @@ let commit_update t ~trace_id ~push_parent ~req_span meta xs f :
                span when tracing is on, the client's own context when
                relaying untraced) so the follower's apply joins the
                same trace. *)
-            ship_commit ~trace:(trace_id, push_parent) t entry;
+            ship_commit
+              ~trace:
+                (p.p_trace, if p.p_req_span > 0 then p.p_req_span else p.p_span)
+              t entry;
             Wire.Updated
               {
                 rev = updated.Serving.Artifact.rev;
                 samples = Serving.Artifact.num_samples updated;
               })
-
-let run_update t (p : pending) meta xs f =
-  finish t p
-    (commit_update t ~trace_id:p.p_trace
-       ~push_parent:(if p.p_req_span > 0 then p.p_req_span else p.p_span)
-       ~req_span:p.p_req_span meta xs f)
 
 (* ------------------------------------------------------------------ *)
 (* Batch windows. A window opens at its oldest admission and closes
@@ -2161,13 +1986,7 @@ let refuse_expired t q ~now =
   for _ = 1 to n do
     let p = Queue.pop q in
     if p.p_conn.closed then () (* hung up: drop the work silently *)
-    else if p.expires_s < now then
-      finish t p
-        (Wire.Error
-           {
-             Wire.code = Wire.Deadline_exceeded;
-             message = "deadline expired before execution";
-           })
+    else if p.expires_s < now then finish t p deadline_error
     else Queue.add p q
   done
 
@@ -2178,35 +1997,21 @@ let window_due t q =
      || Obs.Clock.monotonic_raw () -. (Queue.peek q).admitted_mono
         >= t.config.batch_delay_s)
 
-(* Drain the whole queue as one window: group + run predicts against the
-   window-start model state, then apply updates in arrival order.
-   Shared by the writer ([on_update] commits locally) and the shards
-   (whose queues never hold updates — those forward at admission). *)
-let process_window t q ~predictor_of ~arena ~on_update =
-  let window = Queue.fold (fun acc p -> p :: acc) [] q in
-  Queue.clear q;
-  let window = List.rev window in
+(* Drain the worker's whole queue as one window: group predicts by
+   (meta, with_std) and ensemble calls by name, first-seen order, and
+   run each group against the window-start snapshot. *)
+let process_window t w =
+  let window = List.of_seq (Queue.to_seq w.queue) in
+  Queue.clear w.queue;
   let live = List.filter (fun p -> not p.p_conn.closed) window in
-  (* queue spans: admission to window start, per surviving request *)
   (if Obs.Trace.enabled () then
-     let wstart = Obs.Clock.now_us () in
-     List.iter
-       (fun p ->
-         if p.p_req_span > 0 then
-           Obs.Trace.complete ~cat:"server" ~trace:p.p_trace
-             ~parent:p.p_req_span ~start_us:p.admitted_us
-             ~dur_us:(Float.max 0. (wstart -. p.admitted_us))
-             "srv_queue")
-       live);
-  (* group predicts by (meta, with_std) and ensemble calls by name,
-     first-seen order *)
+     let start_us = Obs.Clock.now_us () in
+     List.iter (trace_queued ~start_us) live);
   let groups = ref [] in
   let egroups = ref [] in
-  let updates = ref [] in
   List.iter
     (fun p ->
       match p.work with
-      | Wupdate { meta; xs; f } -> updates := (p, meta, xs, f) :: !updates
       | Wpredict { meta; points; with_std } -> (
           let key = (meta, with_std) in
           match List.assoc_opt key !groups with
@@ -2215,42 +2020,22 @@ let process_window t q ~predictor_of ~arena ~on_update =
       | Wensemble { name; points } -> (
           match List.assoc_opt name !egroups with
           | Some members -> members := (p, points) :: !members
-          | None -> egroups := (name, ref [ (p, points) ]) :: !egroups))
+          | None -> egroups := (name, ref [ (p, points) ]) :: !egroups)
+      | Wupdate _ | Wensemble_stats _ | Wpromote ->
+          () (* admitted straight to the writer, never queued *))
     live;
+  let run_group run (key, members) =
+    let members = List.rev !members in
+    try run key members
+    with e -> List.iter (fun (p, _) -> finish t p (internal_error e)) members
+  in
   List.iter
-    (fun ((meta, with_std), members) ->
-      let members = List.rev !members in
-      try run_predict_group t ~predictor_of ~arena meta with_std members
-      with e ->
-        List.iter (fun (p, _) -> finish t p (internal_error e)) members)
+    (run_group (fun (meta, with_std) ->
+         run_predict_group t ~arena:w.arena meta with_std))
     (List.rev !groups);
   List.iter
-    (fun (name, members) ->
-      let members = List.rev !members in
-      try run_ensemble_group t ~predictor_of ~arena name members
-      with e ->
-        List.iter (fun (p, _) -> finish t p (internal_error e)) members)
-    (List.rev !egroups);
-  List.iter
-    (fun (p, meta, xs, f) ->
-      try on_update p meta xs f
-      with e -> finish t p (internal_error e))
-    (List.rev !updates)
-
-let writer_predictor_of t meta =
-  match get_model t meta with
-  | Error e -> Error e
-  | Ok cached -> Ok cached.predictor
-
-let process_pending t =
-  let now = now_s () in
-  refuse_expired t t.pending ~now;
-  if window_due t t.pending then
-    process_window t t.pending
-      ~predictor_of:(writer_predictor_of t)
-      ~arena:t.arena
-      ~on_update:(fun p meta xs f -> run_update t p meta xs f);
-  Obs.Metrics.set g_queue_depth (float_of_int (Queue.length t.pending))
+    (run_group (fun name -> run_ensemble_group t ~arena:w.arena name))
+    (List.rev !egroups)
 
 (* ------------------------------------------------------------------ *)
 (* Replication: the follower's leader link (non-blocking connect).     *)
@@ -2333,448 +2118,199 @@ let queue_wait_s config q ~now =
     Queue.fold (fun acc p -> Float.min acc (p.expires_s -. now)) w q
 
 (* ------------------------------------------------------------------ *)
-(* Shard workers. Each worker domain owns a disjoint set of client
-   connections and a private pending queue, serves reads from the
-   published snapshot, forwards updates to the writer, and hands
-   replication control frames (Subscribe/Promote) back — connection
-   included — over the writer mailbox.                                 *)
+(* Workers. Each owns a disjoint set of client connections and a
+   private queue, serves reads from the published snapshot and sends
+   writer-only requests to the writer. One step per select tick; with
+   [shards = 1] the writer runs the step of its single worker inline.  *)
 
-let shard_close t shard conn =
-  if not conn.closed then begin
-    conn.closed <- true;
-    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    shard.s_conns <- List.filter (fun c -> c != conn) shard.s_conns;
-    Atomic.decr t.conn_count;
-    Obs.Metrics.set g_connections (float_of_int (Atomic.get t.conn_count));
-    Obs.Metrics.set shard.s_conns_gauge
-      (float_of_int (List.length shard.s_conns))
-  end
+(* Move a subscribing connection to the writer: remaining input,
+   unflushed output and the subscription itself. The fd now belongs
+   to the writer, so the worker only marks its record closed. *)
+let hand_over t conn ~id vector =
+  conn.closed <- true;
+  Mbox.push t.writer_mbox
+    (Adopt
+       {
+         a_fd = conn.fd;
+         a_in = Buffer.contents conn.inbuf;
+         a_out = List.of_seq (Queue.to_seq conn.out);
+         a_out_off = conn.out_off;
+         a_id = id;
+         a_vector = vector;
+       })
 
-(* Lock-free model lookup against the published snapshot. A model that
-   exists on disk but is not yet published (e.g. saved by a previous
-   incarnation) is served from a locally built predictor while the
-   writer is asked to publish it for every shard. *)
-let shard_predictor_of t meta : (Serving.Predictor.t, Wire.error) result =
-  match Serving.Snapshot.find (Serving.Snapshot.current t.snapshot) meta with
-  | Some e -> Ok e.Serving.Snapshot.predictor
-  | None -> (
-      match Serving.Store.load ~root:t.root meta with
-      | Error message -> Error { Wire.code = Wire.Model_not_found; message }
-      | Ok artifact ->
-          Mbox.push t.writer_mbox (W_publish meta);
-          Ok (Serving.Predictor.of_artifact artifact))
+let worker_fds w = (w.mbox.Mbox.r :: read_fds w.conns, write_fds w.conns)
 
-(* Shard-side admission: same contract as [admit], against the shard's
-   own queue. Forwarded updates still occupy admission slots until
-   their reply returns, so [queue_capacity] bounds a shard's total
-   outstanding work. *)
-let shard_capacity_left t shard =
-  Queue.length shard.s_pending + shard.s_outstanding
-  < t.config.queue_capacity
-
-let shard_admit t shard conn (frame : Wire.frame) work =
-  if stopping t then
-    reply t conn ~id:frame.Wire.frame_id
-      (Wire.Error
-         {
-           Wire.code = Wire.Shutting_down;
-           message = "server is draining; not accepting new work";
-         })
-  else if not (shard_capacity_left t shard) then
-    reply t conn ~id:frame.Wire.frame_id
-      (Wire.Error
-         {
-           Wire.code = Wire.Busy;
-           message =
-             Printf.sprintf "request queue full (capacity %d)"
-               t.config.queue_capacity;
-         })
-  else begin
-    let admitted_s = now_s () in
-    let expires_s =
-      if frame.Wire.frame_deadline_ms <= 0 then infinity
-      else admitted_s +. (float_of_int frame.Wire.frame_deadline_ms /. 1e3)
-    in
-    let p_span = frame.Wire.frame_span in
-    let admitted_us, p_trace, p_req_span =
-      if Obs.Trace.enabled () then
-        ( Obs.Clock.now_us (),
-          (if frame.Wire.frame_trace > 0 then frame.Wire.frame_trace
-           else Obs.Trace.fresh_trace_id ()),
-          Obs.Trace.alloc_id () )
-      else (0., frame.Wire.frame_trace, 0)
-    in
-    Queue.add
-      {
-        p_conn = conn;
-        p_id = frame.Wire.frame_id;
-        admitted_s;
-        admitted_mono = Obs.Clock.monotonic_raw ();
-        expires_s;
-        work;
-        p_trace;
-        p_span;
-        p_req_span;
-        admitted_us;
-      }
-      shard.s_pending;
-    Obs.Metrics.set shard.s_queue_gauge
-      (float_of_int (Queue.length shard.s_pending))
-  end
-
-let shard_forward_update t shard conn (frame : Wire.frame) meta xs f =
-  if stopping t then
-    reply t conn ~id:frame.Wire.frame_id
-      (Wire.Error
-         {
-           Wire.code = Wire.Shutting_down;
-           message = "server is draining; not accepting new work";
-         })
-  else if not (shard_capacity_left t shard) then
-    reply t conn ~id:frame.Wire.frame_id
-      (Wire.Error
-         {
-           Wire.code = Wire.Busy;
-           message =
-             Printf.sprintf "request queue full (capacity %d)"
-               t.config.queue_capacity;
-         })
-  else begin
-    let admitted_s = now_s () in
-    let expires_s =
-      if frame.Wire.frame_deadline_ms <= 0 then infinity
-      else admitted_s +. (float_of_int frame.Wire.frame_deadline_ms /. 1e3)
-    in
-    shard.s_outstanding <- shard.s_outstanding + 1;
-    Mbox.push t.writer_mbox
-      (W_update
-         {
-           u_shard = shard.sid;
-           u_conn = conn;
-           u_id = frame.Wire.frame_id;
-           u_admitted_s = admitted_s;
-           u_expires_s = expires_s;
-           u_meta = meta;
-           u_xs = xs;
-           u_f = f;
-           u_trace = frame.Wire.frame_trace;
-           u_span = frame.Wire.frame_span;
-         })
-  end
-
-(* Worker-side dispatch. Returns [`Detach frame] for the frames only
-   the writer may run — the replication control plane
-   (Subscribe/Promote) and ensemble stats (whose disk reload mutates
-   writer-owned state) — the connection is handed across wholesale and
-   the worker must stop parsing it immediately. *)
-let shard_on_frame t shard conn (frame : Wire.frame) =
-  let decoded = Wire.decode_request frame in
-  match decoded with
-  | Ok (Wire.Subscribe_req _)
-  | Ok Wire.Promote_req
-  | Ok (Wire.Ensemble_stats_req _) ->
-      `Detach
-  | _ ->
-      Atomic.incr t.served;
-      Obs.Metrics.inc m_requests;
-      Obs.Metrics.inc shard.s_requests;
-      (match decoded with
-      | Error message ->
-          reply t conn ~id:frame.Wire.frame_id
-            (Wire.Error { Wire.code = Wire.Protocol; message });
-          conn.close_after_flush <- true
-      | Ok req -> (
-          match req with
-          | Wire.Ping_req ->
-              Obs.Metrics.time h_admin (fun () ->
-                  reply t conn ~id:frame.Wire.frame_id Wire.Pong)
-          | Wire.Stats_req ->
-              Obs.Metrics.time h_admin (fun () ->
-                  reply t conn ~id:frame.Wire.frame_id (stats_payload t))
-          | Wire.List_models_req ->
-              Obs.Metrics.time h_admin (fun () ->
-                  reply t conn ~id:frame.Wire.frame_id
-                    (Wire.Models (model_infos t)))
-          | Wire.Events_req ->
-              Obs.Metrics.time h_admin (fun () ->
-                  reply t conn ~id:frame.Wire.frame_id
-                    (Wire.Events_payload { json = Obs.Events.to_json () }))
-          | Wire.Predict_req { meta; points; with_std } ->
-              let rows = Linalg.Mat.rows points in
-              let limit = Wire.max_predict_rows ~with_std in
-              if rows > limit then
-                reply t conn ~id:frame.Wire.frame_id
-                  (bad_request
-                     (Printf.sprintf
-                        "batch of %d points exceeds the %d-point response \
-                         limit for %s"
-                        rows limit
-                        (Wire.opcode_name
-                           (if with_std then Wire.Predict_var
-                            else Wire.Predict))))
-              else
-                shard_admit t shard conn frame
-                  (Wpredict { meta; points; with_std })
-          | Wire.Predict_ensemble_req { name; points } ->
-              let rows = Linalg.Mat.rows points in
-              if rows > Wire.max_ensemble_rows then
-                reply t conn ~id:frame.Wire.frame_id
-                  (bad_request
-                     (Printf.sprintf
-                        "batch of %d points exceeds the %d-point response \
-                         limit for predict_ensemble"
-                        rows Wire.max_ensemble_rows))
-              else
-                shard_admit t shard conn frame (Wensemble { name; points })
-          | Wire.Update_req { meta; xs; f } ->
-              if Atomic.get t.leader <> None then
-                reply t conn ~id:frame.Wire.frame_id (not_leader_error t)
-              else shard_forward_update t shard conn frame meta xs f
-          | Wire.Repl_ack_req _ -> () (* subscribers never live on shards *)
-          | Wire.Subscribe_req _ | Wire.Promote_req
-          | Wire.Ensemble_stats_req _ ->
-              assert false));
-      `Continue
-
-let shard_read t shard conn =
-  slurp_gen ~scratch:shard.s_scratch ~close:(shard_close t shard) conn;
-  let detach = ref None in
-  parse_frames conn
-    ~stop:(fun () -> !detach <> None)
-    ~dispatch:(fun c frame ->
-      match
-        try shard_on_frame t shard c frame
-        with e ->
-          reply t c ~id:frame.Wire.frame_id (internal_error e);
-          c.close_after_flush <- true;
-          `Continue
-      with
-      | `Continue -> ()
-      | `Detach -> detach := Some frame)
-    ~on_bad:(fun c message ->
-      reply t c ~id:0 (Wire.Error { Wire.code = Wire.Protocol; message });
-      c.close_after_flush <- true);
-  match !detach with
-  | None -> ()
-  | Some frame ->
-      (* hand the whole connection to the writer: remaining input,
-         unflushed output, and the control frame that triggered the
-         move. The shard's conn record is orphaned, never closed here —
-         the fd now belongs to the writer. Any of this connection's
-         predicts still queued on the shard are dropped (marking the
-         orphan closed), as for a hung-up peer. *)
-      shard.s_conns <- List.filter (fun c -> c != conn) shard.s_conns;
-      Obs.Metrics.set shard.s_conns_gauge
-        (float_of_int (List.length shard.s_conns));
-      let out_frames =
-        List.rev (Queue.fold (fun acc s -> s :: acc) [] conn.out)
-      in
-      let residual = Buffer.contents conn.inbuf in
-      let out_off = conn.out_off in
-      conn.closed <- true;
-      Mbox.push t.writer_mbox
-        (W_adopt
-           {
-             a_fd = conn.fd;
-             a_in = residual;
-             a_out = out_frames;
-             a_out_off = out_off;
-             a_frame = frame;
-           })
-
-let shard_timeout t shard ~now =
-  let cand = queue_wait_s t.config shard.s_pending ~now in
+let worker_timeout t w ~now =
+  let cand = queue_wait_s t.config w.queue ~now in
   let cand =
-    if stopping t && not (Float.is_nan shard.s_stopped_mono) then
-      Float.min cand (shard.s_stopped_mono +. drain_grace_s -. now)
+    if stopping t && not (Float.is_nan w.stopped_mono) then
+      Float.min cand (w.stopped_mono +. drain_grace_s -. now)
     else cand
   in
   clamp_timeout cand
 
-let shard_loop t shard =
+let worker_step t w ~readable ~writable =
+  if List.mem w.mbox.Mbox.r readable then
+    Mbox.clear_wake ~scratch:w.scratch w.mbox;
+  List.iter
+    (function
+      | Accepted fd ->
+          w.conns <-
+            mk_conn ~peer:Client ~read_deadline_s:infinity fd :: w.conns
+      | Answer (conn, frame) ->
+          w.outstanding <- w.outstanding - 1;
+          conn.inflight <- conn.inflight - 1;
+          send conn frame)
+    (Mbox.drain w.mbox);
+  List.iter
+    (fun c ->
+      if List.mem c.fd readable then
+        read_conn t ~scratch:w.scratch ~dispatch:(on_frame t w) c)
+    w.conns;
+  refuse_expired t w.queue ~now:(now_s ());
+  if window_due t w.queue then process_window t w;
+  List.iter
+    (fun c ->
+      match c.subscribe with
+      | Some (id, vector) when c.inflight = 0 && not c.closed ->
+          hand_over t c ~id vector
+      | _ -> ())
+    w.conns;
+  List.iter
+    (fun c ->
+      if List.mem c.fd writable || not (Queue.is_empty c.out) then
+        flush_conn t c)
+    w.conns;
+  w.conns <- List.filter (fun c -> not c.closed) w.conns;
+  Obs.Metrics.set w.conns_gauge (float_of_int (List.length w.conns));
+  note_depth t w;
+  if stopping t then begin
+    if Float.is_nan w.stopped_mono then w.stopped_mono <- now_s ();
+    (* drained and flushed (or out of grace): hang up and finish *)
+    if
+      (Queue.is_empty w.queue && w.outstanding = 0
+      && List.for_all (fun c -> Queue.is_empty c.out) w.conns)
+      || now_s () -. w.stopped_mono > drain_grace_s
+    then begin
+      List.iter (close_conn t) w.conns;
+      w.conns <- [];
+      w.finished <- true;
+      Atomic.decr t.workers_live;
+      (* the writer's drain waits for [workers_live]: wake its select *)
+      Mbox.wake t.writer_mbox
+    end
+  end
+
+(* A worker hosted on its own domain. *)
+let worker_loop t w =
   (* this domain owns one core: predictor kernels submitted from here
      run inline instead of contending on the shared pool *)
   Parallel.Pool.inline_in_domain ();
-  let predictor_of = shard_predictor_of t in
-  let drain_mbox () =
-    List.iter
-      (fun msg ->
-        match msg with
-        | S_conn fd ->
-            let conn = mk_conn ~peer:Client ~read_deadline_s:infinity fd in
-            shard.s_conns <- conn :: shard.s_conns;
-            Obs.Metrics.set shard.s_conns_gauge
-              (float_of_int (List.length shard.s_conns))
-        | S_reply { r_conn; r_frame } ->
-            shard.s_outstanding <- max 0 (shard.s_outstanding - 1);
-            if not r_conn.closed then send r_conn r_frame)
-      (Mbox.drain shard.s_mbox)
-  in
-  let process () =
-    let now = now_s () in
-    refuse_expired t shard.s_pending ~now;
-    if window_due t shard.s_pending then
-      process_window t shard.s_pending ~predictor_of ~arena:shard.s_arena
-        ~on_update:(fun p _ _ _ ->
-          (* updates forward at admission; one can never be queued here *)
-          finish t p
-            (Wire.Error
-               {
-                 Wire.code = Wire.Internal;
-                 message = "update misrouted to a shard queue";
-               }));
-    Obs.Metrics.set shard.s_queue_gauge
-      (float_of_int (Queue.length shard.s_pending))
-  in
-  let flush_all () =
-    List.iter
-      (fun c ->
-        if not (Queue.is_empty c.out) then
-          flush_conn_gen ~close:(shard_close t shard) c)
-      shard.s_conns
-  in
-  let finished = ref false in
-  while not !finished do
-    if stopping t && Float.is_nan shard.s_stopped_mono then
-      shard.s_stopped_mono <- now_s ();
-    let rs =
-      shard.s_mbox.Mbox.r
-      :: List.filter_map
-           (fun c ->
-             if c.close_after_flush || c.out_bytes >= max_buffered_out then
-               None
-             else Some c.fd)
-           shard.s_conns
-    in
-    let ws =
-      List.filter_map
-        (fun c -> if Queue.is_empty c.out then None else Some c.fd)
-        shard.s_conns
-    in
-    (match Unix.select rs ws [] (shard_timeout t shard ~now:(now_s ())) with
+  while not w.finished do
+    let rs, ws = worker_fds w in
+    (match Unix.select rs ws [] (worker_timeout t w ~now:(now_s ())) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | readable, writable, _ ->
-        if List.mem shard.s_mbox.Mbox.r readable then
-          Mbox.clear_wake ~scratch:shard.s_scratch shard.s_mbox;
-        drain_mbox ();
-        List.iter
-          (fun c -> if List.mem c.fd readable then shard_read t shard c)
-          shard.s_conns;
-        process ();
-        List.iter
-          (fun c ->
-            if List.mem c.fd writable || not (Queue.is_empty c.out) then
-              flush_conn_gen ~close:(shard_close t shard) c)
-          shard.s_conns);
-    if Obs.Trace.enabled () then Obs.Trace.flush_lane ();
-    if stopping t then begin
-      drain_mbox ();
-      process ();
-      flush_all ();
-      if
-        (Queue.is_empty shard.s_pending
-        && shard.s_outstanding = 0
-        && List.for_all (fun c -> Queue.is_empty c.out) shard.s_conns)
-        || now_s () -. shard.s_stopped_mono > drain_grace_s
-      then begin
-        List.iter (fun c -> shard_close t shard c) shard.s_conns;
-        finished := true
-      end
-    end
+    | readable, writable, _ -> worker_step t w ~readable ~writable);
+    if Obs.Trace.enabled () then Obs.Trace.flush_lane ()
   done;
-  (* connections handed over after the drain decision: close them *)
-  List.iter
-    (fun msg ->
-      match msg with
-      | S_conn fd ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Atomic.decr t.conn_count
-      | S_reply _ -> ())
-    (Mbox.drain shard.s_mbox);
-  Atomic.decr t.shards_live;
-  (* the writer's drain waits for [shards_live]: wake its select *)
-  (try ignore (Unix.write t.wake_w t.wake_buf 0 1)
-   with Unix.Unix_error _ -> ());
   Obs.Trace.flush_lane ()
 
 (* ------------------------------------------------------------------ *)
-(* Writer side of the shard plane.                                     *)
+(* The writer.                                                         *)
 
-(* A forwarded update commits exactly like a local one; the response is
-   encoded here and routed back to the owning shard, which alone may
-   touch the connection. The snapshot is published inside the commit —
-   strictly before the ack frame crosses back — so an acked update is
-   visible to a predict on any shard. *)
-let apply_forwarded_update t ~u_shard ~u_conn ~u_id ~u_admitted_s
-    ~u_expires_s ~u_meta ~u_xs ~u_f ~u_trace ~u_span =
+(* Frames on a writer-owned wire connection: a subscriber's acks. *)
+let subscriber_frame t conn (frame : Wire.frame) =
+  Atomic.incr t.served;
+  Obs.Metrics.inc m_requests;
+  match Wire.decode_request frame with
+  | Ok (Wire.Repl_ack_req { seq }) when conn.peer = Subscriber ->
+      Replication.Source.ack t.source conn ~seq;
+      Replication.Source.note_lag t.source ~seq:(Atomic.get t.commit_seq)
+  | _ -> close_conn t conn (* a replication stream carries only acks *)
+
+(* Clean takeover: finish applying whatever the (possibly dead) leader
+   already streamed, cut the link, flip the role — updates are accepted
+   from the next frame on. Promoting a leader is a no-op. *)
+let promote t =
+  let was = Atomic.get t.leader in
+  Option.iter
+    (fun old ->
+      (match t.link with
+      | Some l when (not l.closed) && l.peer = Link ->
+          read_conn t ~scratch:t.scratch ~dispatch:(subscriber_frame t) l
+      | _ -> ());
+      Option.iter (close_conn t) t.link;
+      Atomic.set t.leader None;
+      Hashtbl.reset t.snap;
+      set_role_metric `Leader;
+      Obs.Events.emit "promotion"
+        ~fields:
+          [
+            ("old_leader", Obs.Trace.Str (address_to_string old));
+            ("commit_seq", Obs.Trace.Int (Atomic.get t.commit_seq));
+          ])
+    was;
+  Wire.Promoted
+    { was_follower = was <> None; journal_seq = Atomic.get t.commit_seq }
+
+(* Serve one writer-only request and route its framed reply back to the
+   worker that owns the connection. An update's snapshot is published
+   inside the commit — strictly before the ack crosses back — so an
+   acked update is visible to a predict on any worker. *)
+let serve_request t wid (p : pending) =
+  if Obs.Trace.enabled () then trace_queued p ~start_us:(Obs.Clock.now_us ());
   let resp =
-    if Atomic.get t.leader <> None then not_leader_error t
-    else if now_s () > u_expires_s then
-      Wire.Error
-        {
-          Wire.code = Wire.Deadline_exceeded;
-          message = "deadline expired before execution";
-        }
+    if p.expires_s < now_s () then deadline_error
     else
-      match
-        commit_update t ~trace_id:u_trace ~push_parent:u_span ~req_span:0
-          u_meta u_xs u_f
-      with
-      | resp -> resp
-      | exception e -> internal_error e
+      try
+        match p.work with
+        | Wupdate { meta; xs; f } -> commit_update t p meta xs f
+        | Wensemble_stats name -> ensemble_stats_payload t name
+        | Wpromote -> promote t
+        | Wpredict _ | Wensemble _ -> internal_error (Failure "misrouted read")
+      with e -> internal_error e
   in
-  Obs.Metrics.observe h_update (now_s () -. u_admitted_s);
-  let encoded = encode_reply ~id:u_id resp in
-  Mbox.push t.shards.(u_shard).s_mbox
-    (S_reply { r_conn = u_conn; r_frame = encoded })
+  Mbox.push t.workers.(wid).mbox (Answer (p.p_conn, complete t p resp))
 
-(* Adopt a connection handed back by a shard: rebuild the conn record
-   around the fd, replay the control frame through the writer's normal
-   dispatch, then parse whatever else was already buffered. *)
-let adopt_conn t ~a_fd ~a_in ~a_out ~a_out_off ~a_frame =
+(* Adopt a connection handed over by a worker: rebuild the conn record
+   around the fd, run the subscription, then parse whatever else was
+   already buffered. *)
+let adopt t ~a_fd ~a_in ~a_out ~a_out_off ~a_id ~a_vector =
   let conn = mk_conn ~peer:Client ~read_deadline_s:infinity a_fd in
+  List.iter (send conn) a_out;
   conn.out_off <- a_out_off;
-  List.iter
-    (fun s ->
-      Queue.add s conn.out;
-      conn.out_bytes <- conn.out_bytes + String.length s)
-    a_out;
   Buffer.add_string conn.inbuf a_in;
   t.conns <- conn :: t.conns;
-  (try on_frame t conn a_frame
+  (try
+     Obs.Metrics.time h_admin (fun () ->
+         handle_subscribe t conn ~id:a_id a_vector)
    with e ->
-     reply t conn ~id:a_frame.Wire.frame_id (internal_error e);
+     reply conn ~id:a_id (internal_error e);
      conn.close_after_flush <- true);
-  client_parse t conn
+  parse_conn t ~dispatch:(subscriber_frame t) conn
 
 let drain_writer_mbox t =
   List.iter
-    (fun msg ->
-      match msg with
-      | W_update
-          { u_shard; u_conn; u_id; u_admitted_s; u_expires_s; u_meta; u_xs;
-            u_f; u_trace; u_span } ->
-          apply_forwarded_update t ~u_shard ~u_conn ~u_id ~u_admitted_s
-            ~u_expires_s ~u_meta ~u_xs ~u_f ~u_trace ~u_span
-      | W_adopt { a_fd; a_in; a_out; a_out_off; a_frame } ->
-          adopt_conn t ~a_fd ~a_in ~a_out ~a_out_off ~a_frame
-      | W_publish meta -> (
-          (* a shard found this model on disk but not in the snapshot:
+    (function
+      | Request (wid, p) -> serve_request t wid p
+      | Adopt { a_fd; a_in; a_out; a_out_off; a_id; a_vector } ->
+          adopt t ~a_fd ~a_in ~a_out ~a_out_off ~a_id ~a_vector
+      | Publish meta -> (
+          (* a worker found this model on disk but not in the snapshot:
              publish it once for everyone (skip if a newer or equal
              revision has landed meanwhile) *)
           match Serving.Store.load ~root:t.root meta with
           | Error _ -> ()
           | Ok artifact -> (
               match
-                Serving.Snapshot.find
-                  (Serving.Snapshot.current t.snapshot)
-                  meta
+                Serving.Snapshot.find (Serving.Snapshot.current t.snapshot) meta
               with
               | Some e
                 when e.Serving.Snapshot.artifact.Serving.Artifact.rev
                      >= artifact.Serving.Artifact.rev ->
                   ()
-              | _ -> ignore (Serving.Snapshot.publish t.snapshot artifact))))
+              | _ -> publish t artifact)))
     (Mbox.drain t.writer_mbox)
 
 (* Satellite of the read-deadline sweep: scrape peers that trickle
@@ -2787,16 +2323,14 @@ let sweep_read_deadlines t ~now =
         Obs.Metrics.inc m_http_idle_drops;
         close_conn t c
       end)
-    (List.filter (fun c -> c.read_deadline_s < infinity) t.conns)
+    t.conns
 
 let writer_timeout t ~now =
-  let cand = queue_wait_s t.config t.pending ~now in
   (* follower: next link retry *)
   let cand =
     match Atomic.get t.leader with
-    | Some _ when (not (stopping t)) && t.link = None ->
-        Float.min cand (t.link_next_s -. now)
-    | _ -> cand
+    | Some _ when (not (stopping t)) && t.link = None -> t.link_next_s -. now
+    | _ -> infinity
   in
   (* leader with subscribers: next heartbeat *)
   let cand =
@@ -2821,6 +2355,33 @@ let writer_timeout t ~now =
   in
   clamp_timeout cand
 
+let writer_step t ~readable ~writable =
+  if List.mem t.writer_mbox.Mbox.r readable then
+    Mbox.clear_wake ~scratch:t.scratch t.writer_mbox;
+  drain_writer_mbox t;
+  if t.accepting && List.mem t.listen_fd readable then
+    accept_loop t t.listen_fd;
+  (match t.http_fd with
+  | Some fd when t.accepting && List.mem fd readable ->
+      accept_loop ~peer:Http t fd
+  | _ -> ());
+  List.iter
+    (fun c ->
+      if c.peer = Link_pending && List.mem c.fd writable then
+        complete_link t c)
+    t.conns;
+  List.iter
+    (fun c ->
+      if List.mem c.fd readable then
+        read_conn t ~scratch:t.scratch ~dispatch:(subscriber_frame t) c)
+    t.conns;
+  List.iter
+    (fun c ->
+      if List.mem c.fd writable || not (Queue.is_empty c.out) then
+        flush_conn t c)
+    t.conns;
+  t.conns <- List.filter (fun c -> not c.closed) t.conns
+
 (* ------------------------------------------------------------------ *)
 (* The loop.                                                           *)
 
@@ -2840,20 +2401,24 @@ let stop_accepting t =
     | Some (Tcp _) | None -> ()
   end
 
-let fully_flushed t =
-  List.for_all (fun c -> Queue.is_empty c.out) t.conns
+let close_fd t fd =
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Atomic.decr t.conn_count
 
 let run t =
-  (* sharded: publish the recovered store once, then spawn the worker
-     plane. [shards = 1] spawns nothing — the process stays fork-safe
-     and behaves exactly like the classic single-domain daemon. *)
-  let shard_domains =
-    if Array.length t.shards = 0 then []
-    else begin
-      ignore (Serving.Snapshot.load_all ~root:t.root t.snapshot);
+  (* publish the recovered store once. [shards = 1] spawns nothing: its
+     one worker steps inline on this domain, which stays fork-safe. *)
+  ignore (Serving.Snapshot.load_all ~root:t.root t.snapshot);
+  let inline =
+    if Array.length t.workers = 1 then Some t.workers.(0) else None
+  in
+  let domains =
+    if inline <> None then []
+    else
       Array.to_list
-        (Array.map (fun s -> Domain.spawn (fun () -> shard_loop t s)) t.shards)
-    end
+        (Array.map
+           (fun w -> Domain.spawn (fun () -> worker_loop t w))
+           t.workers)
   in
   let finished = ref false in
   while not !finished do
@@ -2861,7 +2426,7 @@ let run t =
       if Float.is_nan t.stopped_mono then t.stopped_mono <- now_s ();
       stop_accepting t;
       (* keep nudging the workers: wakes are idempotent and cheap *)
-      Array.iter (fun s -> Mbox.wake s.s_mbox) t.shards
+      Array.iter (fun w -> Mbox.wake w.mbox) t.workers
     end;
     (* follower: (re)connect to the leader when the backoff allows *)
     (match Atomic.get t.leader with
@@ -2893,87 +2458,60 @@ let run t =
         end
     | _ -> ());
     sweep_read_deadlines t ~now:(now_s ());
+    let step_inline =
+      match inline with Some w when not w.finished -> Some w | _ -> None
+    in
     let rs =
-      t.wake_r
-      :: (if Array.length t.shards > 0 then [ t.writer_mbox.Mbox.r ] else [])
+      (t.writer_mbox.Mbox.r :: read_fds t.conns)
       @ (if t.accepting then
-           t.listen_fd
-           :: (match t.http_fd with Some fd -> [ fd ] | None -> [])
+           t.listen_fd :: Option.to_list t.http_fd
          else [])
-      @ List.filter_map
-          (fun c ->
-            if c.close_after_flush || c.out_bytes >= max_buffered_out then
-              None
-            else Some c.fd)
-          t.conns
     in
-    let ws =
-      List.filter_map
-        (fun c ->
-          if c.peer = Link_pending then Some c.fd
-          else if Queue.is_empty c.out then None
-          else Some c.fd)
-        t.conns
+    let ws = write_fds t.conns in
+    let now = now_s () in
+    let rs, ws, timeout =
+      match step_inline with
+      | Some w ->
+          let wr, ww = worker_fds w in
+          ( rs @ wr,
+            ws @ ww,
+            Float.min (writer_timeout t ~now) (worker_timeout t w ~now) )
+      | None -> (rs, ws, writer_timeout t ~now)
     in
-    (match Unix.select rs ws [] (writer_timeout t ~now:(now_s ())) with
+    (match Unix.select rs ws [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
-        if List.mem t.wake_r readable then begin
-          try
-            while Unix.read t.wake_r t.scratch 0 64 > 0 do
-              ()
-            done
-          with Unix.Unix_error _ -> ()
-        end;
-        if
-          Array.length t.shards > 0
-          && List.mem t.writer_mbox.Mbox.r readable
-        then Mbox.clear_wake ~scratch:t.scratch t.writer_mbox;
-        if Array.length t.shards > 0 then drain_writer_mbox t;
-        if t.accepting && List.mem t.listen_fd readable then
-          accept_loop t t.listen_fd;
-        (match t.http_fd with
-        | Some fd when t.accepting && List.mem fd readable ->
-            accept_loop ~peer:Http t fd
-        | _ -> ());
-        List.iter
-          (fun c ->
-            if c.peer = Link_pending && List.mem c.fd writable then
-              complete_link t c)
-          t.conns;
-        List.iter
-          (fun c -> if List.mem c.fd readable then read_conn t c)
-          t.conns;
-        process_pending t;
-        List.iter
-          (fun c ->
-            if List.mem c.fd writable || not (Queue.is_empty c.out) then
-              flush_conn t c)
-          t.conns);
-    if stopping t then begin
-      (* drained and flushed (or out of grace): hang up and return.
-         Updates forwarded by still-draining shards keep being served
-         through the mailbox until every worker has quiesced. *)
-      if Array.length t.shards > 0 then drain_writer_mbox t;
-      process_pending t;
-      List.iter (fun c -> flush_conn t c) t.conns;
-      if
-        (Queue.is_empty t.pending && fully_flushed t
-        && Atomic.get t.shards_live = 0)
-        || now_s () -. t.stopped_mono > drain_grace_s
-      then begin
-        List.iter (fun c -> close_conn t c) t.conns;
-        finished := true
-      end
+        writer_step t ~readable ~writable;
+        Option.iter (fun w -> worker_step t w ~readable ~writable) step_inline);
+    (* drained and flushed (or out of grace): hang up and return.
+       Requests from still-draining workers keep being served through
+       the mailbox until every worker has finished. *)
+    if
+      stopping t
+      && ((Atomic.get t.workers_live = 0
+          && List.for_all (fun c -> Queue.is_empty c.out) t.conns)
+         || now_s () -. t.stopped_mono > drain_grace_s)
+    then begin
+      List.iter (close_conn t) t.conns;
+      t.conns <- [];
+      finished := true
     end
   done;
   stop_accepting t;
-  List.iter Domain.join shard_domains;
-  Array.iter (fun s -> Mbox.close s.s_mbox) t.shards;
+  List.iter Domain.join domains;
+  (* connections dealt or handed over after their receiver finished *)
+  Array.iter
+    (fun w ->
+      List.iter
+        (function Accepted fd -> close_fd t fd | Answer _ -> ())
+        (Mbox.drain w.mbox);
+      Mbox.close w.mbox)
+    t.workers;
+  List.iter
+    (function Adopt { a_fd; _ } -> close_fd t a_fd | _ -> ())
+    (Mbox.drain t.writer_mbox);
   Mbox.close t.writer_mbox;
   (* when run was hosted on a spawned domain its trace lane would die
      with the domain; hand it to the merge buffer first *)
   Obs.Trace.flush_lane ();
-  (try Serving.Journal.close t.journal with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+  try Serving.Journal.close t.journal with Unix.Unix_error _ -> ()

@@ -2,42 +2,41 @@
     multiple cores.
 
     A [Unix.select] event loop accepts TCP or Unix-domain-socket
-    connections speaking the {!Wire} protocol and feeds a {e bounded}
+    connections speaking the {!Wire} protocol and deals each client
+    connection to a serving {e worker}, which feeds a {e bounded}
     request queue. A batch window closes [batch_delay_s] after its
     oldest admission (immediately when 0): all admitted [predict]
     requests are grouped by (model, with_std) and every group is served
     by {e one} blocked {!Serving.Predictor} call — basis evaluation and
-    the per-query variance solves shard across the [Parallel.Pool] —
-    then [update] requests apply in arrival order. Because the
-    predictor kernels are row-independent and results are re-split by
-    request, batched answers are bit-identical to direct in-process
-    calls.
+    the per-query variance solves shard across the [Parallel.Pool].
+    Because the predictor kernels are row-independent and results are
+    re-split by request, batched answers are bit-identical to direct
+    in-process calls.
 
-    With [config.shards = 1] (the default) everything runs on the
-    single calling domain, exactly the classic daemon — no domains are
-    spawned, so the process remains fork-safe. With [shards = N >= 2],
-    {!run} spawns [N] worker domains: the calling domain becomes the
-    {e acceptor/writer} (accept loops, journal commit point,
-    replication fan-out, follower link, HTTP scrape endpoint) and hands
-    each accepted client connection to one worker over an internal
-    mailbox. Workers run predict kernels against immutable model
-    snapshots published by the writer with a single [Atomic] swap
-    ({!Serving.Snapshot}); updates are forwarded to the writer and stay
-    serialized through the one write-ahead journal. The new snapshot is
-    published before the update's acknowledgement is queued, so a
-    client that sees the ack observes the new revision from any shard.
-    Responses remain bit-identical to direct calls at every shard
-    count.
+    Workers read models from immutable snapshots ({!Serving.Snapshot},
+    the daemon's only model store) that the {e writer} publishes with a
+    single [Atomic] swap. The writer owns the accept loops, the
+    write-ahead journal commit point, replication fan-out, the follower
+    link and the HTTP scrape endpoint; [update], [ensemble_stats] and
+    [promote] travel to it as request messages and their replies travel
+    back to the worker that admitted them. With [config.shards = 1]
+    (the default) the single worker runs inline on the calling domain —
+    no domains are spawned, so the process remains fork-safe. With
+    [shards = N >= 2], {!run} spawns [N] worker domains, each running
+    the same worker step in its own select loop. An update's snapshot
+    is published before its acknowledgement is queued, so a client that
+    sees the ack observes the new revision from any worker. Responses
+    are bit-identical at every shard count.
 
     Consistency model: requests admitted in the same window are served
-    against the model revision current at the start of the window;
-    updates take effect at the end of it (and are persisted to the
+    against the model revision current at the start of the window; an
+    update takes effect once committed (and is persisted to the
     {!Serving.Store} before the response frame is queued).
 
-    Backpressure is explicit: when the queue is full a [Busy] error
-    frame is sent immediately — the daemon never buffers unboundedly.
-    Predict batches whose response could not fit in one frame are
-    refused with [Bad_request] at admission (see
+    Backpressure is explicit: when a worker's queue is full a [Busy]
+    error frame is sent immediately — the daemon never buffers
+    unboundedly. Predict batches whose response could not fit in one
+    frame are refused with [Bad_request] at admission (see
     {!Wire.max_predict_rows}), and a connection that stops reading its
     responses stops being read once its queued output passes an
     internal bound, so per-connection memory stays bounded even against
@@ -48,16 +47,12 @@
     new requests with [Shutting_down], drains in-flight work, flushes
     every connection and returns from {!run}.
 
-    Hot models are cached in an LRU over the registry; [update]
-    refreshes the cached entry so later predictions see the new
-    revision without a disk round-trip.
-
     Everything is instrumented through [Obs.Metrics]:
     [bmf_server_requests_total], per-opcode latency histograms
     ([bmf_server_predict_seconds], [bmf_server_predict_var_seconds],
     [bmf_server_update_seconds], [bmf_server_admin_seconds]), the
-    [bmf_server_batch_points] gauge, [bmf_server_queue_depth] gauge and
-    error counters ([bmf_server_busy_total],
+    [bmf_server_batch_points] gauge, the [bmf_server_queue_depth] gauge
+    (summed over workers) and error counters ([bmf_server_busy_total],
     [bmf_server_deadline_total], [bmf_server_errors_total]). Replication
     publishes [bmf_server_role{role=...}] (1 on the active series),
     [bmf_repl_follower_lag_entries] and
@@ -78,12 +73,13 @@ val parse_address : string -> address option
 
 type config = {
   queue_capacity : int;
-      (** Bounded request queue; a full queue answers [Busy]. 0 refuses
-          every predict/update — useful to exercise backpressure. *)
+      (** Bounded request queue per worker (queued reads plus updates
+          in flight at the writer); a full queue answers [Busy]. 0
+          refuses every predict/update — useful to exercise
+          backpressure. *)
   max_batch : int;
       (** Maximum query points fused into one blocked predictor call;
           larger groups split at request granularity. *)
-  cache_capacity : int;  (** LRU model-cache entries (>= 1). *)
   batch_delay_s : float;
       (** A window closes this long after its oldest admission (0 =
           immediately) — a pacing/testing aid (lets deadlines expire
@@ -109,11 +105,9 @@ type config = {
       (** Requests slower than this (admission to reply) emit a
           [slow_request] event when the {!Obs.Events} log is on. *)
   shards : int;
-      (** Serving shards (>= 1). [1]: the single-domain loop, no
-          domains spawned. [N >= 2]: {!run} spawns [N] worker domains
-          that serve predict traffic from published model snapshots;
-          the queue/backpressure contract ([queue_capacity], [Busy])
-          applies per shard. Each shard reports
+      (** Serving workers (>= 1). [1]: one worker runs inline on the
+          domain that calls {!run}, no domains spawned. [N >= 2]: {!run}
+          spawns [N] worker domains. Each worker reports
           [bmf_server_shard_requests_total{shard=...}],
           [bmf_server_shard_queue_depth{shard=...}] and
           [bmf_server_shard_connections{shard=...}]. *)
@@ -127,9 +121,9 @@ type config = {
 }
 
 val default_config : config
-(** [{ queue_capacity = 256; max_batch = 4096; cache_capacity = 8;
-      batch_delay_s = 0.; durability = `Durable; http = None;
-      slow_request_s = 0.25; shards = 1; http_idle_s = 5. }] *)
+(** [{ queue_capacity = 256; max_batch = 4096; batch_delay_s = 0.;
+      durability = `Durable; http = None; slow_request_s = 0.25;
+      shards = 1; http_idle_s = 5. }] *)
 
 type t
 
@@ -189,7 +183,7 @@ val install_signal_handlers : t -> unit
 val run : t -> unit
 (** Serve until {!stop}. With [config.shards >= 2] this spawns the
     worker domains on entry and joins them before returning. Returns
-    after the drain completed — every shard quiesced (in-flight work
+    after the drain completed — every worker quiesced (in-flight work
     finished or refused, connections flushed) — and every socket is
     closed; the listening socket (and Unix socket path) are
     released. *)

@@ -140,8 +140,8 @@ type response =
               leader commit sequence durably applied or embodied in a
               catch-up snapshot. *)
       shards : int;
-          (** Serving shards the daemon runs with ([config.shards]);
-              [1] for the classic single-domain loop. *)
+          (** Serving workers the daemon runs with ([config.shards]);
+              [1] when its one worker runs inline on the main domain. *)
       metrics_json : string;
     }
   | Promoted of { was_follower : bool; journal_seq : int }

@@ -14,22 +14,6 @@ exception Parse_error of string
    artifact checksum is defined over this canonical form, so the printer
    must be a pure function of the value. *)
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let number_to_string f =
   if not (Float.is_finite f) then invalid_arg "Json: non-finite number";
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
@@ -39,7 +23,7 @@ let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> Buffer.add_string buf (number_to_string f)
-  | Str s -> escape buf s
+  | Str s -> Obs.Json_string.add buf s
   | Arr items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -53,7 +37,7 @@ let rec write buf = function
       List.iteri
         (fun i (name, value) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape buf name;
+          Obs.Json_string.add buf name;
           Buffer.add_char buf ':';
           write buf value)
         fields;

@@ -41,14 +41,6 @@ let publish (t : t) (artifact : Artifact.t) =
   Atomic.set t { version = v.version + 1; table };
   e
 
-let drop (t : t) meta =
-  let v = Atomic.get t in
-  Atomic.set t
-    {
-      version = v.version + 1;
-      table = List.filter (fun (m, _) -> m <> meta) v.table;
-    }
-
 let load_all ~root (t : t) =
   let v = Atomic.get t in
   let table =

@@ -1,6 +1,6 @@
 (** Immutable published view of served models.
 
-    The sharded serving plane needs one read-mostly source of truth for
+    The serving workers need one read-mostly source of truth for
     "which artifact (and pre-computed predictor) does model X serve
     right now" that any number of reader domains can consult without a
     lock while a single writer domain replaces it. A {!t} is an
@@ -11,7 +11,7 @@
     model, so a reader that observes the new view observes the fully
     constructed entries behind it).
 
-    Single-writer contract: {!publish}, {!load_all} and {!drop} must
+    Single-writer contract: {!publish} and {!load_all} must
     only ever be called from one domain at a time (the daemon's writer
     domain). Readers may call {!current}/{!find} from any domain. *)
 
@@ -35,7 +35,7 @@ val current : t -> view
 
 val version : view -> int
 (** Monotonically increasing publication counter; bumped by every
-    {!publish}, {!load_all} and {!drop}. Two physically distinct views
+    {!publish} and {!load_all}. Two physically distinct views
     never share a version. *)
 
 val find : view -> Artifact.meta -> entry option
@@ -46,10 +46,6 @@ val publish : t -> Artifact.t -> entry
 (** Writer only: swap in a fresh view in which [artifact]'s model serves
     [artifact] (replacing any previous revision). Returns the published
     entry so the writer can reuse the predictor it just paid for. *)
-
-val drop : t -> Artifact.meta -> unit
-(** Writer only: swap in a fresh view without the model (no-op when it
-    was absent). *)
 
 val load_all : root:string -> t -> int
 (** Writer only: publish every loadable artifact in the store under

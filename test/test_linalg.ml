@@ -279,31 +279,6 @@ let test_qr_underdetermined_rejected () =
       ignore (Qr.factorize a))
 
 (* ------------------------------------------------------------------ *)
-(* Eigen_sym *)
-
-let test_eigen_diag () =
-  let a = Mat.of_diag [| 3.; 1.; 2. |] in
-  let e = Eigen_sym.decompose a in
-  check_bool "sorted values" true
-    (Vec.approx_equal e.values [| 1.; 2.; 3. |])
-
-let test_eigen_reconstruct () =
-  let a = random_spd 7 in
-  let e = Eigen_sym.decompose a in
-  check_bool "v d v^T = a" true
-    (Mat.approx_equal ~tol:1e-7 (Eigen_sym.reconstruct e) a)
-
-let test_eigen_orthonormal_vectors () =
-  let a = random_spd 6 in
-  let e = Eigen_sym.decompose a in
-  check_bool "v^T v = I" true
-    (Mat.approx_equal ~tol:1e-8 (Mat.gram e.vectors) (Mat.identity 6))
-
-let test_eigen_condition () =
-  let e = Eigen_sym.decompose (Mat.of_diag [| 1.; 10. |]) in
-  check_float "kappa" 10. (Eigen_sym.condition_number e)
-
-(* ------------------------------------------------------------------ *)
 (* Woodbury *)
 
 let test_woodbury_matches_direct () =
@@ -397,73 +372,6 @@ let test_cg_diagonal_one_step_family () =
   check_bool "solution" true
     (Vec.approx_equal result.solution [| 1.; 1.; 1. |]);
   check_bool "fast" true (result.iterations <= 2)
-
-
-(* ------------------------------------------------------------------ *)
-(* SVD *)
-
-let test_svd_reconstruct () =
-  let a = random_mat 10 6 in
-  let f = Svd.decompose a in
-  check_bool "usv = a" true (Mat.approx_equal ~tol:1e-8 (Svd.reconstruct f) a)
-
-let test_svd_orthonormal_factors () =
-  let a = random_mat 9 5 in
-  let f = Svd.decompose a in
-  check_bool "u^T u = I" true
-    (Mat.approx_equal ~tol:1e-8 (Mat.gram f.u) (Mat.identity 5));
-  check_bool "v^T v = I" true
-    (Mat.approx_equal ~tol:1e-8 (Mat.gram f.v) (Mat.identity 5))
-
-let test_svd_values_sorted_nonnegative () =
-  let a = random_mat 8 8 in
-  let f = Svd.decompose a in
-  let s = f.Svd.s in
-  for i = 0 to Array.length s - 2 do
-    check_bool "descending" true (s.(i) >= s.(i + 1));
-    check_bool "nonnegative" true (s.(i + 1) >= 0.)
-  done
-
-let test_svd_diag_known () =
-  let a = Mat.of_diag [| 3.; 1.; 2. |] in
-  let f = Svd.decompose a in
-  check_bool "known values" true
-    (Vec.approx_equal f.Svd.s [| 3.; 2.; 1. |])
-
-let test_svd_rank_deficient () =
-  (* duplicate column -> rank 2 of 3 *)
-  let b = random_mat 6 2 in
-  let a =
-    Mat.init 6 3 (fun i j -> if j < 2 then Mat.get b i j else Mat.get b i 0)
-  in
-  let f = Svd.decompose a in
-  check_int "rank" 2 (Svd.rank f);
-  check_bool "infinite condition" true (Svd.condition_number f > 1e9)
-
-let test_svd_pseudo_inverse () =
-  let a = random_mat 8 4 in
-  let f = Svd.decompose a in
-  let pinv = Svd.pseudo_inverse f in
-  (* a+ a = I for full column rank *)
-  check_bool "left inverse" true
-    (Mat.approx_equal ~tol:1e-7 (Mat.gemm pinv a) (Mat.identity 4))
-
-let test_svd_min_norm_matches_qr () =
-  let a = random_mat 12 5 in
-  let b = random_vec 12 in
-  let svd_sol = Svd.solve_min_norm (Svd.decompose a) b in
-  let qr_sol = Qr.least_squares a b in
-  check_bool "agrees with QR" true (Vec.approx_equal ~tol:1e-7 svd_sol qr_sol)
-
-let test_svd_singular_values_match_eigen () =
-  (* s_i^2 are the eigenvalues of a^T a *)
-  let a = random_mat 7 4 in
-  let f = Svd.decompose a in
-  let e = Eigen_sym.decompose (Mat.gram a) in
-  let eig_sorted = Array.map sqrt (Array.map (Float.max 0.) e.Eigen_sym.values) in
-  Array.sort (fun x y -> Float.compare y x) eig_sorted;
-  check_bool "match eigenvalues" true
-    (Vec.approx_equal ~tol:1e-7 f.Svd.s eig_sorted)
 
 
 (* ------------------------------------------------------------------ *)
@@ -764,13 +672,6 @@ let () =
           Alcotest.test_case "underdetermined rejected" `Quick
             test_qr_underdetermined_rejected;
         ] );
-      ( "eigen",
-        [
-          Alcotest.test_case "diagonal" `Quick test_eigen_diag;
-          Alcotest.test_case "reconstruct" `Quick test_eigen_reconstruct;
-          Alcotest.test_case "orthonormal" `Quick test_eigen_orthonormal_vectors;
-          Alcotest.test_case "condition" `Quick test_eigen_condition;
-        ] );
       ( "woodbury",
         [
           Alcotest.test_case "matches direct" `Quick test_woodbury_matches_direct;
@@ -806,18 +707,6 @@ let () =
             test_mat_of_rows_and_setters;
           Alcotest.test_case "of_diag/scale/add" `Quick
             test_mat_of_diag_identity_scale;
-        ] );
-      ( "svd",
-        [
-          Alcotest.test_case "reconstruct" `Quick test_svd_reconstruct;
-          Alcotest.test_case "orthonormal" `Quick test_svd_orthonormal_factors;
-          Alcotest.test_case "sorted" `Quick test_svd_values_sorted_nonnegative;
-          Alcotest.test_case "diagonal" `Quick test_svd_diag_known;
-          Alcotest.test_case "rank deficient" `Quick test_svd_rank_deficient;
-          Alcotest.test_case "pseudo inverse" `Quick test_svd_pseudo_inverse;
-          Alcotest.test_case "min norm = qr" `Quick test_svd_min_norm_matches_qr;
-          Alcotest.test_case "matches eigen" `Quick
-            test_svd_singular_values_match_eigen;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -1,9 +1,9 @@
 (* Tests for the replication subsystem: wire opcodes for the
    subscription/entry-stream protocol, the journal tail reader, backoff
    determinism, leader-side source bookkeeping, follower-side apply
-   semantics, an in-process leader/follower pair proving bit-identical
-   reads off the follower, and a cross-process SIGKILL failover harness
-   checking every surviving replica against an uncrashed oracle. *)
+   semantics, and an in-process leader/follower pair proving
+   bit-identical reads off the follower. The fork-based cases live in
+   test_fork and test_failover. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -252,50 +252,6 @@ let test_not_leader_roundtrip () =
 
 (* ------------------------------------------------------------------ *)
 (* Journal tail reader                                                 *)
-
-let test_tail_cross_process_appends () =
-  with_temp_root @@ fun root ->
-  let s = make_synth ~k:8 ~r:4 () in
-  let batch tag = fresh_batch s ~tag ~k:2 in
-  let tail = Serving.Journal.Tail.create ~root in
-  (* nothing there yet: no file is not an error *)
-  let entries, diag = Serving.Journal.Tail.poll tail in
-  check_int "empty poll" 0 (List.length entries);
-  check_bool "no diagnostic" true (diag = None);
-  (* a forked child appends two entries and exits; the parent's tail
-     must observe exactly them, in order *)
-  Parallel.Pool.set_default_jobs 1;
-  flush stdout;
-  flush stderr;
-  (match Unix.fork () with
-  | 0 ->
-      (try
-         let j = Serving.Journal.open_ ~durability:`Durable ~root () in
-         let xs0, f0 = batch 0 and xs1, f1 = batch 1 in
-         Serving.Journal.append j
-           { Serving.Journal.meta; base_rev = 1; xs = xs0; f = f0 };
-         Serving.Journal.append j
-           { Serving.Journal.meta; base_rev = 2; xs = xs1; f = f1 };
-         Serving.Journal.close j;
-         Unix._exit 0
-       with _ -> Unix._exit 2)
-  | pid -> (
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "appender child failed"));
-  let entries, diag = Serving.Journal.Tail.poll tail in
-  check_bool "no diagnostic" true (diag = None);
-  check_int "both entries observed" 2 (List.length entries);
-  List.iteri
-    (fun i e ->
-      check_int "entry order" (i + 1) e.Serving.Journal.base_rev;
-      let _, expect_f = batch i in
-      check_bool "entry payload bit-identical" true
-        (Array.for_all2 Float.equal expect_f e.Serving.Journal.f))
-    entries;
-  (* a second poll re-delivers nothing *)
-  let again, _ = Serving.Journal.Tail.poll tail in
-  check_int "no re-delivery" 0 (List.length again)
 
 let test_tail_torn_final_entry () =
   with_temp_root @@ fun root ->
@@ -753,149 +709,8 @@ let test_pair_trace_propagation_and_telemetry () =
     (List.exists (fun (e : Obs.Events.event) -> e.kind = "link_up") events)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-process crash/failover harness                                *)
-
-(* The leader runs in a forked child (forked BEFORE any domain exists
-   in this test, so the child inherits no domain machinery); the
-   follower runs in-process. After randomized update rounds the leader
-   is SIGKILLed mid-flight, the follower is promoted, and every
-   surviving store must be byte-identical to an uncrashed in-process
-   oracle that applied the same batches. *)
-let test_crash_failover_bit_identity () =
-  Parallel.Pool.set_default_jobs 1;
-  Fun.protect ~finally:(fun () -> Parallel.Pool.set_default_jobs 0)
-  @@ fun () ->
-  with_temp_root @@ fun root ->
-  let s = make_synth () in
-  let a = artifact_of s in
-  let leader_root = Filename.concat root "leader" in
-  let follower_root = Filename.concat root "follower" in
-  ignore (Serving.Store.save ~root:leader_root a);
-  let laddr = Server.Daemon.Unix_socket (Filename.concat root "l.sock") in
-  let faddr = Server.Daemon.Unix_socket (Filename.concat root "f.sock") in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (* child: the leader process, to be SIGKILLed *)
-      (try
-         let t = Server.Daemon.create ~root:leader_root laddr in
-         Server.Daemon.run t;
-         Unix._exit 0
-       with _ -> Unix._exit 2)
-  | leader_pid ->
-      let reaped = ref false in
-      let joined = ref false in
-      let follower =
-        Server.Daemon.create ~follow:laddr ~root:follower_root faddr
-      in
-      let fdom = Domain.spawn (fun () -> Server.Daemon.run follower) in
-      let drain_follower () =
-        if not !joined then begin
-          joined := true;
-          Server.Daemon.stop follower;
-          Domain.join fdom
-        end
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          drain_follower ();
-          if not !reaped then begin
-            Unix.kill leader_pid Sys.sigkill;
-            ignore (Unix.waitpid [] leader_pid)
-          end)
-      @@ fun () ->
-      let cl = Server.Client.connect laddr in
-      let cf = Server.Client.connect faddr in
-      Fun.protect
-        ~finally:(fun () ->
-          Server.Client.close cf;
-          Server.Client.close cl)
-      @@ fun () ->
-      (* randomized rounds: batch sizes drawn from a seeded stream *)
-      let rounds = 6 in
-      let krng = Stats.Rng.create 4242 in
-      let oracle = ref a in
-      for tag = 1 to rounds do
-        let k = 2 + (Stats.Rng.int krng 5) in
-        let xs, f = fresh_batch s ~tag:(500 + tag) ~k in
-        ignore (ok "update" (Server.Client.update cl meta ~xs ~f));
-        let upd = Serving.Incremental.of_artifact !oracle in
-        Serving.Incremental.add_batch upd ~xs ~f;
-        oracle := Serving.Incremental.to_artifact upd
-      done;
-      (* quiesce: the follower must have durably applied every round
-         before the kill, so the oracle describes both replicas *)
-      wait_until "pre-kill quiesce" (fun () -> follower_seq cf >= rounds);
-      Unix.kill leader_pid Sys.sigkill;
-      reaped := true;
-      (match snd (Unix.waitpid [] leader_pid) with
-      | Unix.WSIGNALED sg when sg = Sys.sigkill -> ()
-      | _ -> Alcotest.fail "leader did not die by SIGKILL");
-      (* the dead leader's root recovers clean (acked updates are
-         durable) and holds exactly the oracle's bytes *)
-      let report =
-        Serving.Recovery.recover ~durability:`Fast ~root:leader_root ()
-      in
-      check_bool "dead leader root recovers clean" true
-        (Serving.Recovery.clean report);
-      let oracle_bytes =
-        Serving.Artifact.to_string Serving.Artifact.Binary !oracle
-      in
-      (match Serving.Store.load ~root:leader_root meta with
-      | Ok b ->
-          check_bool "dead leader store byte-identical to oracle" true
-            (String.equal oracle_bytes
-               (Serving.Artifact.to_string Serving.Artifact.Binary b))
-      | Error e -> Alcotest.failf "dead leader store: %s" e);
-      (* failover: promote the follower and keep writing *)
-      let was_follower, seq = ok "promote" (Server.Client.promote cf) in
-      check_bool "survivor was the follower" true was_follower;
-      check_int "promoted at the quiesced sequence" rounds seq;
-      let xs, f = fresh_batch s ~tag:900 ~k:3 in
-      let rev, _ =
-        ok "post-failover update" (Server.Client.update cf meta ~xs ~f)
-      in
-      check_int "new leader applies updates"
-        (a.Serving.Artifact.rev + rounds + 1)
-        rev;
-      (let upd = Serving.Incremental.of_artifact !oracle in
-       Serving.Incremental.add_batch upd ~xs ~f;
-       oracle := Serving.Incremental.to_artifact upd);
-      (* the promoted replica serves the oracle's fingerprint *)
-      let q =
-        let r = Polybasis.Basis.dim s.basis in
-        let qrng = Stats.Rng.create 883 in
-        Linalg.Mat.of_rows
-          (List.init 64 (fun _ -> Stats.Rng.gaussian_vec qrng r))
-      in
-      let direct =
-        Serving.Predictor.predict (Serving.Predictor.of_artifact !oracle) q
-      in
-      let served = ok "promoted predict" (Server.Client.predict cf meta q) in
-      check_string "promoted replica fingerprint matches oracle"
-        (Serving.Artifact.fingerprint direct)
-        (Serving.Artifact.fingerprint served);
-      (* ... and its store is byte-identical to the oracle too (checked
-         after the daemon drains so the save is complete) *)
-      drain_follower ();
-      match Serving.Store.load ~root:follower_root meta with
-      | Ok b ->
-          check_bool "promoted store byte-identical to oracle" true
-            (String.equal
-               (Serving.Artifact.to_string Serving.Artifact.Binary !oracle)
-               (Serving.Artifact.to_string Serving.Artifact.Binary b))
-      | Error e -> Alcotest.failf "promoted store: %s" e
-
-(* ------------------------------------------------------------------ *)
 
 let () =
-  (* OCaml 5 forbids Unix.fork once ANY domain has ever been spawned in
-     the process, so every fork-based test must run before the first
-     Domain.spawn. Jobs are pinned to 1 up front (the shared pool stays
-     inline, spawning nothing) and the fork-based suites are ordered
-     before the daemon-in-a-domain e2e suite. *)
-  Parallel.Pool.set_default_jobs 1;
   Alcotest.run "replication"
     [
       ( "wire",
@@ -909,8 +724,6 @@ let () =
         ] );
       ( "journal-tail",
         [
-          Alcotest.test_case "cross-process appends observed" `Quick
-            test_tail_cross_process_appends;
           Alcotest.test_case "torn final entry parks then completes" `Quick
             test_tail_torn_final_entry;
           Alcotest.test_case "truncation resets the tail" `Quick
@@ -930,11 +743,6 @@ let () =
         [
           Alcotest.test_case "entry apply, stale, gap, snapshot" `Quick
             test_apply_entry_and_snapshot;
-        ] );
-      ( "failover",
-        [
-          Alcotest.test_case "SIGKILL leader, promote, byte-identity" `Quick
-            test_crash_failover_bit_identity;
         ] );
       ( "e2e",
         [

@@ -480,8 +480,8 @@ let test_e2e_update_matches_incremental () =
   let rev, samples = ok "update" (Server.Client.update c meta ~xs:xs_new ~f:f_new) in
   check_int "revision bumped" (a.rev + 1) rev;
   check_int "sample count" (30 + k_new) samples;
-  (* post-update predictions come from the refreshed cache entry and
-     must match the directly-updated artifact bit for bit *)
+  (* post-update predictions come from the published snapshot entry
+     and must match the directly-updated artifact bit for bit *)
   let means = ok "predict" (Server.Client.predict c meta q) in
   check_bool "post-update predictions bit-identical" true
     (Array.for_all2 Float.equal expected means);
@@ -522,12 +522,16 @@ let test_e2e_list_models_and_stats () =
     (String.length st.Server.Client.metrics_json > 0
     && st.Server.Client.metrics_json.[0] = '{')
 
-let test_e2e_backpressure_busy () =
+let test_e2e_backpressure_busy ~shards () =
   with_temp_root @@ fun root ->
   let s = make_synth ~k:20 ~r:8 () in
   ignore (Serving.Store.save ~root (artifact_of s));
   let config =
-    { Server.Daemon.default_config with Server.Daemon.queue_capacity = 0 }
+    {
+      Server.Daemon.default_config with
+      Server.Daemon.queue_capacity = 0;
+      shards;
+    }
   in
   with_daemon ~config ~root @@ fun _t addr ->
   with_client addr @@ fun c ->
@@ -538,12 +542,16 @@ let test_e2e_backpressure_busy () =
   | Error e ->
       check_bool "busy code" true (e.Server.Wire.code = Server.Wire.Busy)
 
-let test_e2e_deadline_exceeded () =
+let test_e2e_deadline_exceeded ~shards () =
   with_temp_root @@ fun root ->
   let s = make_synth ~k:20 ~r:8 () in
   ignore (Serving.Store.save ~root (artifact_of s));
   let config =
-    { Server.Daemon.default_config with Server.Daemon.batch_delay_s = 0.05 }
+    {
+      Server.Daemon.default_config with
+      Server.Daemon.batch_delay_s = 0.05;
+      shards;
+    }
   in
   with_daemon ~config ~root @@ fun _t addr ->
   with_client addr @@ fun c ->
@@ -606,14 +614,15 @@ let test_e2e_oversized_batch_refused () =
         (e.Server.Wire.code = Server.Wire.Bad_request));
   ok "ping after refusal" (Server.Client.ping c)
 
-let test_e2e_hostile_frame_contained () =
+let test_e2e_hostile_frame_contained ~shards () =
   (* a structurally valid frame whose body advertises a ~2^62-byte
      string: the daemon must answer with a Protocol error and hang up
      that connection only — never crash *)
   with_temp_root @@ fun root ->
   let s = make_synth ~k:10 ~r:6 () in
   ignore (Serving.Store.save ~root (artifact_of s));
-  with_daemon ~root @@ fun _t addr ->
+  let config = { Server.Daemon.default_config with Server.Daemon.shards } in
+  with_daemon ~config ~root @@ fun _t addr ->
   let path =
     match addr with
     | Server.Daemon.Unix_socket p -> p
@@ -660,7 +669,7 @@ let test_e2e_hostile_frame_contained () =
   (* the daemon survived: a fresh connection still answers *)
   with_client addr @@ fun c -> ok "ping after hostile frame" (Server.Client.ping c)
 
-let test_e2e_deadline_immune_to_frozen_clock () =
+let test_e2e_deadline_immune_to_frozen_clock ~shards () =
   (* Regression: deadlines used Unix.gettimeofday, so real time passing
      during the batch delay expired short deadlines — and an NTP step
      forward would have mass-expired every queued request. On the
@@ -671,7 +680,11 @@ let test_e2e_deadline_immune_to_frozen_clock () =
   let s = make_synth ~k:20 ~r:8 () in
   ignore (Serving.Store.save ~root (artifact_of s));
   let config =
-    { Server.Daemon.default_config with Server.Daemon.batch_delay_s = 0.05 }
+    {
+      Server.Daemon.default_config with
+      Server.Daemon.batch_delay_s = 0.05;
+      shards;
+    }
   in
   let frozen = Obs.Clock.now_s () in
   Obs.Clock.set_source (fun () -> frozen);
@@ -913,12 +926,15 @@ let test_percentile_fixtures () =
     (Server.Loadgen.percentile ten 0.99);
   checkf "out-of-range q clamps" 10. (Server.Loadgen.percentile ten 1.5)
 
-let test_e2e_graceful_shutdown () =
+let test_e2e_graceful_shutdown ~shards () =
   with_temp_root @@ fun root ->
   let s = make_synth ~k:20 ~r:8 () in
   ignore (Serving.Store.save ~root (artifact_of s));
   let sock = Filename.concat root "test.sock" in
-  let t = Server.Daemon.create ~root (Server.Daemon.Unix_socket sock) in
+  let config = { Server.Daemon.default_config with Server.Daemon.shards } in
+  let t =
+    Server.Daemon.create ~config ~root (Server.Daemon.Unix_socket sock)
+  in
   let d = Domain.spawn (fun () -> Server.Daemon.run t) in
   let addr = Server.Daemon.address t in
   with_client addr (fun c -> ok "ping" (Server.Client.ping c));
@@ -935,7 +951,7 @@ let test_e2e_graceful_shutdown () =
 (* ------------------------------------------------------------------ *)
 (* Select-timeout and HTTP idle-deadline regressions                   *)
 
-let test_e2e_deadline_refusal_not_quantized () =
+let test_e2e_deadline_refusal_not_quantized ~shards () =
   (* Regression: the select loop used a hardcoded 0.25 s timeout floor
      and process_pending slept out the whole batch window, so a 50 ms
      deadline inside a long window was refused only when the window
@@ -946,7 +962,11 @@ let test_e2e_deadline_refusal_not_quantized () =
   let s = make_synth ~k:20 ~r:8 () in
   ignore (Serving.Store.save ~root (artifact_of s));
   let config =
-    { Server.Daemon.default_config with Server.Daemon.batch_delay_s = 5. }
+    {
+      Server.Daemon.default_config with
+      Server.Daemon.batch_delay_s = 5.;
+      shards;
+    }
   in
   with_daemon ~config ~root @@ fun _t addr ->
   with_client addr @@ fun c ->
@@ -1012,6 +1032,144 @@ let test_e2e_stalled_scraper_dropped () =
   check_bool "scrape after the drop" true (contains metrics "HTTP/1.1 200");
   check_bool "idle drop counted" true
     (contains metrics "bmf_server_http_idle_drops_total 1")
+
+(* ------------------------------------------------------------------ *)
+(* Pipelined writer requests                                           *)
+
+(* Write [reqs] (id, request) back to back on one raw socket, then read
+   frames until [until] holds of those received (by default, one per
+   request); returns them in arrival order. *)
+let pipelined ?until addr reqs =
+  let until =
+    match until with
+    | Some u -> u
+    | None -> fun got -> List.length got = List.length reqs
+  in
+  let path =
+    match addr with
+    | Server.Daemon.Unix_socket p -> p
+    | Server.Daemon.Tcp _ -> Alcotest.fail "expected a unix socket"
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let payload =
+    String.concat ""
+      (List.map (fun (id, req) -> Server.Wire.encode_request ~id req) reqs)
+  in
+  let n = Unix.write_substring fd payload 0 (String.length payload) in
+  check_int "pipelined frames written" (String.length payload) n;
+  let got = Buffer.create 4096 in
+  let tmp = Bytes.create 65536 in
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec frames acc off =
+    if until acc then List.rev acc
+    else
+      match Server.Wire.peek (Buffer.contents got) ~off with
+      | `Frame (f, next) -> frames (f :: acc) next
+      | `Bad m -> Alcotest.failf "bad response frame: %s" m
+      | `Need _ ->
+          let left = deadline -. Unix.gettimeofday () in
+          if left <= 0. then
+            Alcotest.failf "only %d frames arrived" (List.length acc);
+          (match Unix.select [ fd ] [] [] left with
+          | [], _, _ -> ()
+          | _ -> (
+              match Unix.read fd tmp 0 (Bytes.length tmp) with
+              | 0 ->
+                  Alcotest.failf "closed after %d frames" (List.length acc)
+              | k -> Buffer.add_subbytes got tmp 0 k));
+          frames acc off
+  in
+  frames [] 0
+
+let reply_for frames id ~expect =
+  match List.find_opt (fun f -> f.Server.Wire.frame_id = id) frames with
+  | None -> Alcotest.failf "no reply for request %d" id
+  | Some f -> (
+      match Server.Wire.decode_response ~expect f with
+      | Ok r -> r
+      | Error m -> Alcotest.failf "reply %d undecodable: %s" id m)
+
+let stored_rev root =
+  match Serving.Store.load ~root meta with
+  | Ok b -> b.Serving.Artifact.rev
+  | Error e -> Alcotest.failf "store reload: %s" e
+
+let test_e2e_pipelined_writer_requests ~shards () =
+  (* An update or a predict pipelined ahead of an ensemble_stats, or an
+     update ahead of a subscribe, on one connection: every reply must
+     arrive at every shard count, and each update must commit exactly
+     once. *)
+  with_temp_root @@ fun root ->
+  let s = make_synth ~k:30 ~r:12 () in
+  let a = artifact_of s in
+  ignore (Serving.Store.save ~root a);
+  let r = Polybasis.Basis.dim s.basis in
+  let xs = Stats.Sampling.monte_carlo (Stats.Rng.create 6161) ~k:4 ~r in
+  let f =
+    Array.init 4 (fun i ->
+        Linalg.Vec.dot
+          (Polybasis.Basis.eval_row s.basis (Linalg.Mat.row xs i))
+          s.truth)
+  in
+  let stats = Server.Wire.Ensemble_stats_req { name = "" } in
+  let config = { Server.Daemon.default_config with Server.Daemon.shards } in
+  with_daemon ~config ~root @@ fun _t addr ->
+  let got =
+    pipelined addr [ (1, Server.Wire.Update_req { meta; xs; f }); (2, stats) ]
+  in
+  (match reply_for got 1 ~expect:Server.Wire.Update with
+  | Server.Wire.Updated { rev; _ } ->
+      check_int "update acknowledged at the next revision" (a.rev + 1) rev
+  | _ -> Alcotest.fail "update answered with something else");
+  (match reply_for got 2 ~expect:Server.Wire.Ensemble_stats with
+  | Server.Wire.Ensemble_stats_payload _ -> ()
+  | _ -> Alcotest.fail "ensemble_stats answered with something else");
+  check_int "stored revision advanced once" (a.rev + 1) (stored_rev root);
+  let q = queries s 8 in
+  let got =
+    pipelined addr
+      [
+        (3, Server.Wire.Predict_req { meta; points = q; with_std = false });
+        (4, stats);
+      ]
+  in
+  (match reply_for got 3 ~expect:Server.Wire.Predict with
+  | Server.Wire.Predicted { means; _ } ->
+      check_int "predict answered" 8 (Array.length means)
+  | _ -> Alcotest.fail "predict answered with something else");
+  (match reply_for got 4 ~expect:Server.Wire.Ensemble_stats with
+  | Server.Wire.Ensemble_stats_payload _ -> ()
+  | _ -> Alcotest.fail "ensemble_stats answered with something else");
+  check_int "a predict leaves the revision alone" (a.rev + 1) (stored_rev root);
+  (* a subscribe moves the connection to the writer: the update queued
+     ahead of it is still acknowledged, and the stream starts *)
+  let is_status f =
+    Server.Wire.is_push_kind f.Server.Wire.frame_kind
+    &&
+    match Server.Wire.decode_push f with
+    | Ok (Server.Wire.Repl_status _) -> true
+    | _ -> false
+  in
+  let got =
+    pipelined
+      ~until:(fun got ->
+        List.exists (fun f -> f.Server.Wire.frame_id = 5) got
+        && List.exists is_status got)
+      addr
+      [
+        (5, Server.Wire.Update_req { meta; xs; f });
+        (6, Server.Wire.Subscribe_req { vector = [] });
+      ]
+  in
+  (match reply_for got 5 ~expect:Server.Wire.Update with
+  | Server.Wire.Updated { rev; _ } ->
+      check_int "update ahead of a subscribe acknowledged" (a.rev + 2) rev
+  | _ -> Alcotest.fail "update answered with something else");
+  check_int "stored revision advanced once more" (a.rev + 2) (stored_rev root)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded serving                                                     *)
@@ -1524,20 +1682,35 @@ let () =
           Alcotest.test_case "list_models and stats" `Quick
             test_e2e_list_models_and_stats;
           Alcotest.test_case "backpressure busy" `Quick
-            test_e2e_backpressure_busy;
+            (test_e2e_backpressure_busy ~shards:1);
+          Alcotest.test_case "backpressure busy, shards 2" `Quick
+            (test_e2e_backpressure_busy ~shards:2);
           Alcotest.test_case "deadline exceeded" `Quick
-            test_e2e_deadline_exceeded;
+            (test_e2e_deadline_exceeded ~shards:1);
+          Alcotest.test_case "deadline exceeded, shards 2" `Quick
+            (test_e2e_deadline_exceeded ~shards:2);
           Alcotest.test_case "deadline refusal not quantized" `Quick
-            test_e2e_deadline_refusal_not_quantized;
+            (test_e2e_deadline_refusal_not_quantized ~shards:1);
+          Alcotest.test_case "deadline refusal not quantized, shards 2"
+            `Quick
+            (test_e2e_deadline_refusal_not_quantized ~shards:2);
           Alcotest.test_case "model not found" `Quick test_e2e_model_not_found;
           Alcotest.test_case "dim mismatch" `Quick
             test_e2e_dim_mismatch_bad_request;
           Alcotest.test_case "oversized batch refused" `Quick
             test_e2e_oversized_batch_refused;
           Alcotest.test_case "hostile frame contained" `Quick
-            test_e2e_hostile_frame_contained;
+            (test_e2e_hostile_frame_contained ~shards:1);
+          Alcotest.test_case "hostile frame contained, shards 2" `Quick
+            (test_e2e_hostile_frame_contained ~shards:2);
           Alcotest.test_case "graceful shutdown" `Quick
-            test_e2e_graceful_shutdown;
+            (test_e2e_graceful_shutdown ~shards:1);
+          Alcotest.test_case "graceful shutdown, shards 2" `Quick
+            (test_e2e_graceful_shutdown ~shards:2);
+          Alcotest.test_case "pipelined writer requests, shards 1" `Quick
+            (test_e2e_pipelined_writer_requests ~shards:1);
+          Alcotest.test_case "pipelined writer requests, shards 2" `Quick
+            (test_e2e_pipelined_writer_requests ~shards:2);
         ] );
       ( "observability",
         [
@@ -1551,7 +1724,10 @@ let () =
       ( "durability",
         [
           Alcotest.test_case "deadline immune to frozen clock" `Quick
-            test_e2e_deadline_immune_to_frozen_clock;
+            (test_e2e_deadline_immune_to_frozen_clock ~shards:1);
+          Alcotest.test_case "deadline immune to frozen clock, shards 2"
+            `Quick
+            (test_e2e_deadline_immune_to_frozen_clock ~shards:2);
           Alcotest.test_case "journal replayed on create" `Quick
             test_e2e_journal_replayed_on_create;
         ] );

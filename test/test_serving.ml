@@ -572,288 +572,6 @@ let test_journal_rejects_garbage () =
   check_int "huge length yields nothing" 0 (List.length back)
 
 (* ------------------------------------------------------------------ *)
-(* Crash fault injection: SIGKILL at every step of the write protocol  *)
-
-(* Run [f] in a forked child with the crashpoint armed at budget [n].
-   The shared Domains pool must be inline (jobs = 1) before forking —
-   worker domains do not survive fork and a child inheriting their
-   mutexes would deadlock. *)
-let in_crashed_child ~n f =
-  Parallel.Pool.set_default_jobs 1;
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Serving.Crashpoint.arm n;
-         f ();
-         Serving.Crashpoint.disarm ();
-         Unix._exit 0
-       with _ -> Unix._exit 2)
-  | pid -> (
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WSIGNALED s when s = Sys.sigkill -> `Killed
-      | Unix.WEXITED 0 -> `Clean
-      | Unix.WEXITED c -> `Other (Printf.sprintf "exit %d" c)
-      | Unix.WSIGNALED s -> `Other (Printf.sprintf "signal %d" s)
-      | Unix.WSTOPPED s -> `Other (Printf.sprintf "stopped %d" s))
-
-(* Sweep n = 0, 1, 2, ... so the child is SIGKILLed before every
-   distinct write/fsync/rename/unlink in [f]; after every kill the
-   parent must be able to recover the store to a verified state that
-   [invariant] accepts. Returns once the child runs to completion. *)
-let sweep_crashpoints ~root ~invariant f =
-  let budget_cap = 256 in
-  let rec go n =
-    if n > budget_cap then
-      Alcotest.failf "crashpoint budget not exhausted after %d steps"
-        budget_cap;
-    match in_crashed_child ~n f with
-    | `Other what -> Alcotest.failf "child died oddly (budget %d): %s" n what
-    | outcome ->
-        let report = Serving.Recovery.recover ~durability:`Fast ~root () in
-        check_bool
-          (Printf.sprintf "recovery clean after kill at step %d" n)
-          true
-          (Serving.Recovery.clean report);
-        invariant ~n ~report;
-        if outcome = `Killed then go (n + 1) else n
-  in
-  go 0
-
-let test_crashpoint_env_arming () =
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv Serving.Crashpoint.env_var "0";
-      (* latch disarmed so the poisoned environment is never re-read *)
-      Serving.Crashpoint.disarm ())
-  @@ fun () ->
-  (* a malformed value must fail loudly, not silently disable the
-     harness *)
-  Unix.putenv Serving.Crashpoint.env_var "banana";
-  Serving.Crashpoint.reset ();
-  (match Serving.Crashpoint.armed () with
-  | exception Failure msg ->
-      check_bool "failure names the variable" true
-        (try
-           ignore
-             (Str.search_forward
-                (Str.regexp_string Serving.Crashpoint.env_var)
-                msg 0);
-           true
-         with Not_found -> false)
-  | _ -> Alcotest.fail "malformed budget silently accepted");
-  (* a well-formed value arms the process: in a fork, two steps must
-     pass and the third must SIGKILL *)
-  Unix.putenv Serving.Crashpoint.env_var "2";
-  Parallel.Pool.set_default_jobs 1;
-  flush stdout;
-  flush stderr;
-  (match Unix.fork () with
-  | 0 ->
-      Serving.Crashpoint.reset ();
-      if not (Serving.Crashpoint.armed ()) then Unix._exit 3;
-      Serving.Crashpoint.step ();
-      Serving.Crashpoint.step ();
-      Serving.Crashpoint.step () (* budget exhausted: SIGKILL here *);
-      Unix._exit 4
-  | pid -> (
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WSIGNALED s when s = Sys.sigkill -> ()
-      | Unix.WEXITED 3 -> Alcotest.fail "environment did not arm the child"
-      | Unix.WEXITED 4 -> Alcotest.fail "armed child outlived its budget"
-      | _ -> Alcotest.fail "child died oddly"));
-  (* the parent never consumed the environment: still disarmable *)
-  Serving.Crashpoint.reset ();
-  Serving.Crashpoint.disarm ();
-  check_bool "disarm wins over the environment" false
-    (Serving.Crashpoint.armed ())
-
-let test_crash_at_every_save_step () =
-  with_temp_root @@ fun root ->
-  let s = make_synth ~k:20 ~r:10 () in
-  let a = artifact_of s in
-  ignore (Serving.Store.save ~durability:`Durable ~root a);
-  let upd = Serving.Incremental.of_artifact a in
-  let r = Polybasis.Basis.dim s.basis in
-  let xs = Stats.Sampling.monte_carlo rng ~k:5 ~r in
-  let f =
-    Array.init 5 (fun i ->
-        Linalg.Vec.dot
-          (Polybasis.Basis.eval_row s.basis (Linalg.Mat.row xs i))
-          s.truth)
-  in
-  Serving.Incremental.add_batch upd ~xs ~f;
-  let updated = Serving.Incremental.to_artifact upd in
-  let invariant ~n ~report:_ =
-    match Serving.Store.load ~root meta with
-    | Error e -> Alcotest.failf "store unreadable after kill at %d: %s" n e
-    | Ok b ->
-        check_bool
-          (Printf.sprintf "kill at %d leaves base or updated rev" n)
-          true
-          (b.rev = a.rev || b.rev = updated.rev)
-  in
-  let steps =
-    sweep_crashpoints ~root ~invariant (fun () ->
-        ignore (Serving.Store.save ~durability:`Durable ~root updated))
-  in
-  (* write temp, fsync temp, rename, fsync dir — at least those *)
-  check_bool "save has distinct kill points" true (steps >= 4);
-  match Serving.Store.load ~root meta with
-  | Error e -> Alcotest.failf "final load: %s" e
-  | Ok b -> check_int "clean run leaves the update" updated.rev b.rev
-
-let test_crash_at_every_update_protocol_step () =
-  (* The full daemon-side update protocol: journal append (commit
-     point) -> incremental apply -> durable artifact save -> journal
-     truncate. Killed anywhere, recovery must land on the base or the
-     updated artifact, and whenever the journal committed the entry the
-     update must survive via replay, bit-identical to the uncrashed
-     oracle. *)
-  with_temp_root @@ fun root ->
-  let s = make_synth ~k:20 ~r:10 () in
-  let a = artifact_of s in
-  ignore (Serving.Store.save ~durability:`Durable ~root a);
-  let r = Polybasis.Basis.dim s.basis in
-  let xs = Stats.Sampling.monte_carlo rng ~k:4 ~r in
-  let f =
-    Array.init 4 (fun i ->
-        Linalg.Vec.dot
-          (Polybasis.Basis.eval_row s.basis (Linalg.Mat.row xs i))
-          s.truth)
-  in
-  let oracle =
-    let upd = Serving.Incremental.of_artifact a in
-    Serving.Incremental.add_batch upd ~xs ~f;
-    Serving.Incremental.to_artifact upd
-  in
-  let protocol () =
-    let j = Serving.Journal.open_ ~root () in
-    Serving.Journal.append j { Serving.Journal.meta; base_rev = a.rev; xs; f };
-    let upd = Serving.Incremental.of_artifact a in
-    Serving.Incremental.add_batch upd ~xs ~f;
-    ignore
-      (Serving.Store.save ~durability:`Durable ~root
-         (Serving.Incremental.to_artifact upd));
-    Serving.Journal.truncate j;
-    Serving.Journal.close j
-  in
-  let invariant ~n ~report:_ =
-    match Serving.Store.load ~root meta with
-    | Error e -> Alcotest.failf "store unreadable after kill at %d: %s" n e
-    | Ok b ->
-        check_bool
-          (Printf.sprintf "kill at %d: rev is base or updated" n)
-          true
-          (b.rev = a.rev || b.rev = oracle.rev);
-        if b.rev = oracle.rev then
-          check_bool
-            (Printf.sprintf "kill at %d: replay matches oracle" n)
-            true
-            (Array.for_all2 Float.equal oracle.coeffs b.coeffs)
-  in
-  let reset () = ignore (Serving.Store.save ~root a) in
-  (* sweep with a store reset before each child so every budget starts
-     from the same base state *)
-  let budget_cap = 256 in
-  let rec go n =
-    if n > budget_cap then Alcotest.fail "protocol budget not exhausted";
-    reset ();
-    match in_crashed_child ~n protocol with
-    | `Other what -> Alcotest.failf "child died oddly (budget %d): %s" n what
-    | outcome ->
-        let report = Serving.Recovery.recover ~durability:`Fast ~root () in
-        check_bool
-          (Printf.sprintf "recovery clean after kill at step %d" n)
-          true
-          (Serving.Recovery.clean report);
-        invariant ~n ~report;
-        if outcome = `Killed then go (n + 1) else n
-  in
-  let steps = go 0 in
-  check_bool "protocol has many kill points" true (steps >= 8);
-  match Serving.Store.load ~root meta with
-  | Error e -> Alcotest.failf "final load: %s" e
-  | Ok b ->
-      check_int "clean run leaves the update" oracle.rev b.rev;
-      check_bool "clean run matches oracle" true
-        (Array.for_all2 Float.equal oracle.coeffs b.coeffs)
-
-let test_crash_random_interleavings () =
-  (* Property-style: a chain of updates is applied through the
-     journaled protocol and the process is killed after a random number
-     of durability steps. Post-recovery the store must hold {e some}
-     prefix of the chain — an artifact that verifies and is
-     bit-identical to the uncrashed oracle at that revision. *)
-  with_temp_root @@ fun root ->
-  let s = make_synth ~k:20 ~r:10 () in
-  let a = artifact_of s in
-  let r = Polybasis.Basis.dim s.basis in
-  let n_updates = 4 in
-  let batches =
-    List.init n_updates (fun _ ->
-        let rows = 1 + Stats.Rng.int rng 4 in
-        let xs = Stats.Sampling.monte_carlo rng ~k:rows ~r in
-        let f =
-          Array.init rows (fun i ->
-              Linalg.Vec.dot
-                (Polybasis.Basis.eval_row s.basis (Linalg.Mat.row xs i))
-                s.truth)
-        in
-        (xs, f))
-  in
-  (* oracle.(v) = the artifact after the first v updates, uncrashed *)
-  let oracle = Array.make (n_updates + 1) a in
-  List.iteri
-    (fun i (xs, f) ->
-      let upd = Serving.Incremental.of_artifact oracle.(i) in
-      Serving.Incremental.add_batch upd ~xs ~f;
-      oracle.(i + 1) <- Serving.Incremental.to_artifact upd)
-    batches;
-  let chain () =
-    let j = Serving.Journal.open_ ~root () in
-    let cur = ref a in
-    List.iter
-      (fun (xs, f) ->
-        Serving.Journal.append j
-          { Serving.Journal.meta; base_rev = !cur.Serving.Artifact.rev; xs; f };
-        let upd = Serving.Incremental.of_artifact !cur in
-        Serving.Incremental.add_batch upd ~xs ~f;
-        let next = Serving.Incremental.to_artifact upd in
-        ignore (Serving.Store.save ~durability:`Durable ~root next);
-        Serving.Journal.truncate j;
-        cur := next)
-      batches;
-    Serving.Journal.close j
-  in
-  let trials = 25 in
-  for trial = 1 to trials do
-    ignore (Serving.Store.save ~root a);
-    ignore (Serving.Recovery.recover ~durability:`Fast ~root ());
-    let budget = Stats.Rng.int rng 120 in
-    (match in_crashed_child ~n:budget chain with
-    | `Other what ->
-        Alcotest.failf "trial %d (budget %d) died oddly: %s" trial budget what
-    | `Killed | `Clean -> ());
-    let report = Serving.Recovery.recover ~durability:`Fast ~root () in
-    check_bool
-      (Printf.sprintf "trial %d: recovery clean" trial)
-      true
-      (Serving.Recovery.clean report);
-    match Serving.Store.load ~root meta with
-    | Error e -> Alcotest.failf "trial %d: store unreadable: %s" trial e
-    | Ok b ->
-        check_bool
-          (Printf.sprintf "trial %d: rev %d is a chain prefix" trial b.rev)
-          true
-          (b.rev >= 0 && b.rev <= n_updates);
-        check_bool
-          (Printf.sprintf "trial %d: rev %d matches the oracle" trial b.rev)
-          true
-          (Array.for_all2 Float.equal oracle.(b.rev).coeffs b.coeffs)
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Online calibration telemetry                                        *)
 
 let cal_meta =
@@ -1186,16 +904,6 @@ let () =
           Alcotest.test_case "torn tail" `Quick
             test_journal_tolerates_torn_tail;
           Alcotest.test_case "garbage" `Quick test_journal_rejects_garbage;
-        ] );
-      ( "crash",
-        [
-          Alcotest.test_case "env arming" `Quick test_crashpoint_env_arming;
-          Alcotest.test_case "kill at every save step" `Quick
-            test_crash_at_every_save_step;
-          Alcotest.test_case "kill at every protocol step" `Quick
-            test_crash_at_every_update_protocol_step;
-          Alcotest.test_case "random interleavings" `Quick
-            test_crash_random_interleavings;
         ] );
       ( "predictor",
         [
