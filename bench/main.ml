@@ -397,8 +397,10 @@ let shard_scaling (cfg : Experiments.Config.t) =
 (* ------------------------------------------------------------------ *)
 (* Replication: WAL shipping from a leader to an in-process follower — *)
 (* entries shipped per second, follower apply latency (from the        *)
-(* bmf_repl_apply_seconds histogram) and read throughput served off    *)
-(* the follower while it tails the leader.                             *)
+(* bmf_repl_apply_seconds histogram, which times the whole apply:      *)
+(* calibration, evidence scoring, the write-ahead commit with its      *)
+(* journal append and truncate, and publish) and read throughput       *)
+(* served off the follower while it tails the leader.                  *)
 
 let replication_record : string option ref = ref None
 
@@ -555,7 +557,8 @@ let replication_bench (cfg : Experiments.Config.t) =
           Printf.printf
             "replication: %d entries shipped in %.3f s (%.0f entries/s, \
              updates took %.3f s)\n\
-             follower apply latency: p50 <= %.3f ms, p99 <= %.3f ms; final \
+             follower apply latency (whole apply, journal included): \
+             p50 <= %.3f ms, p99 <= %.3f ms; final \
              lag %.0f entries\n"
             entries catchup_wall shipped_per_s update_wall (1e3 *. p50)
             (1e3 *. p99) lag;

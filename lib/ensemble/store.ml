@@ -1,9 +1,9 @@
 (* On-disk ensemble registry: one [.bmfe] file per ensemble, living in
-   the same root as the model artifacts it references, saved with the
-   same temp-write + atomic-rename (+ fsync under [`Durable]) protocol
-   as Serving.Store — so ensemble weight state survives a SIGKILL the
-   way acknowledged model updates do, and `repro recover`'s sweep of
-   [.{name}.tmp.{pid}] files covers interrupted ensemble saves too.
+   the same root as the model artifacts it references, written through
+   Serving.Store's atomic writer — so ensemble weight state survives a
+   SIGKILL the way acknowledged model updates do, and `repro recover`'s
+   sweep of [.{name}.tmp.{pid}] files covers interrupted ensemble saves
+   too.
 
    The [.bmfe] suffix is invisible to Serving.Store.list (which matches
    [.bmfa]/[.bmfa.json] only), so the two registries share a directory
@@ -11,95 +11,28 @@
 
 let extension = ".bmfe"
 
-let sanitize s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' -> c
-      | _ -> '_')
-    s
-
 (* [sanitize] is lossy, so the filename carries a short digest of the
    raw name — same move as the artifact store's key digest. *)
 let name_digest name =
   String.sub (Printf.sprintf "%016Lx" (Serving.Artifact.fnv64 name)) 0 8
 
 let filename name =
-  Printf.sprintf "%s__h%s%s" (sanitize name) (name_digest name) extension
+  Printf.sprintf "%s__h%s%s" (Serving.Store.sanitize name) (name_digest name)
+    extension
 
 let path ~root name = Filename.concat root (filename name)
 
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then begin
-      let w = Unix.write fd b off (n - off) in
-      go (off + w)
-    end
-  in
-  go 0
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
-
 let save ?(durability = `Fast) ~root state =
-  mkdir_p root;
-  let file = path ~root state.State.name in
-  let data = State.to_binary_string state in
-  let tmp =
-    Filename.concat root
-      (Printf.sprintf ".%s.tmp.%d" (filename state.State.name) (Unix.getpid ()))
-  in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  (try
-     Fun.protect
-       ~finally:(fun () -> Unix.close fd)
-       (fun () ->
-         Serving.Crashpoint.step ();
-         write_all fd data;
-         match durability with
-         | `Fast -> ()
-         | `Durable ->
-             Serving.Crashpoint.step ();
-             Unix.fsync fd)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  (try
-     Serving.Crashpoint.step ();
-     Sys.rename tmp file
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  (match durability with
-  | `Fast -> ()
-  | `Durable ->
-      Serving.Crashpoint.step ();
-      fsync_dir root);
-  file
+  let name = filename state.State.name in
+  ignore
+    (Serving.Store.write_atomic ~durability ~dir:root ~name
+       (State.to_binary_string state));
+  Filename.concat root name
 
 let load_file file =
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error ("ensemble: " ^ file ^ ": " ^ msg)
-  | contents -> State.of_binary_string contents
+  match Serving.Store.read_file file with
+  | Error msg -> Error ("ensemble: " ^ msg)
+  | Ok contents -> State.of_binary_string contents
 
 let find ~root name =
   let file = path ~root name in
@@ -113,20 +46,13 @@ let load ~root name =
         (Printf.sprintf "ensemble: no ensemble %S under %s (expected %s)" name
            root (filename name))
 
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-let is_temp name =
-  String.length name > 0 && name.[0] = '.' && contains_substring name ".tmp."
-
 let list ~root =
   if not (Sys.file_exists root && Sys.is_directory root) then []
   else
     Sys.readdir root |> Array.to_list |> List.sort String.compare
     |> List.filter (fun name ->
-           (not (is_temp name)) && Filename.check_suffix name extension)
+           (not (Serving.Store.is_temp name))
+           && Filename.check_suffix name extension)
     |> List.map (fun name ->
            let file = Filename.concat root name in
            (file, load_file file))

@@ -1,8 +1,8 @@
 (** On-disk [.bmfe] registry for ensemble state, sharing the model
-    root. Saves follow the Serving.Store crash-safety protocol
-    (temp-write + atomic rename; fsync file and directory under
-    [`Durable]), and temp files use the same [.{name}.tmp.{pid}]
-    pattern so recovery's sweep covers them. *)
+    root. Saves go through {!Serving.Store.write_atomic} (temp write +
+    atomic rename; fsync file and directory under [`Durable]), so they
+    follow the artifact store's crash protocol step for step and
+    recovery's temp-file sweep covers them. *)
 
 val extension : string
 (** [".bmfe"] — never matched by [Serving.Store.list]. *)
@@ -22,8 +22,6 @@ val find : root:string -> string -> string option
 val load : root:string -> string -> (State.t, string) result
 (** Checksum-verified load; the not-found error names the root
     directory and the expected filename. *)
-
-val load_file : string -> (State.t, string) result
 
 val list : root:string -> (string * (State.t, string) result) list
 (** Every [.bmfe] under [root] (sorted by filename) with its decode

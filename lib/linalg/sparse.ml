@@ -114,10 +114,6 @@ let of_dense ?(tol = 0.) m =
   done;
   of_triplets ~rows ~cols !triplets
 
-let diag a =
-  if a.rows <> a.cols then invalid_arg "Sparse.diag: not square";
-  Array.init a.rows (fun i -> get a i i)
-
 let scale s a = { a with values = Array.map (fun v -> s *. v) a.values }
 
 let iter f a =

@@ -32,9 +32,6 @@ val to_dense : t -> Mat.t
 val of_dense : ?tol:float -> Mat.t -> t
 (** Drops entries with magnitude [<= tol] (default [0.]). *)
 
-val diag : t -> Vec.t
-(** Main diagonal (zeros where absent); requires a square matrix. *)
-
 val scale : float -> t -> t
 
 val iter : (int -> int -> float -> unit) -> t -> unit

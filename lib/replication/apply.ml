@@ -1,67 +1,6 @@
-let m_applied =
-  Obs.Metrics.counter ~help:"Replicated journal entries applied"
-    "bmf_repl_applied_total"
-
-let m_stale =
-  Obs.Metrics.counter ~help:"Replicated entries skipped as already applied"
-    "bmf_repl_stale_total"
-
 let m_snapshots =
   Obs.Metrics.counter ~help:"Catch-up snapshots installed"
     "bmf_repl_snapshots_applied_total"
-
-let m_apply_seconds =
-  Obs.Metrics.histogram ~help:"Per-entry replication apply latency"
-    "bmf_repl_apply_seconds"
-
-type outcome =
-  | Applied of Serving.Artifact.t
-  | Stale of int
-  | Gap of string
-
-let entry ?(durability = `Durable) ~root ~journal (e : Serving.Journal.entry) =
-  match Serving.Store.load ~root e.meta with
-  | Error msg -> Gap (Printf.sprintf "no base artifact (%s)" msg)
-  | Ok art ->
-      if art.Serving.Artifact.rev > e.base_rev then begin
-        Obs.Metrics.inc m_stale;
-        Stale art.rev
-      end
-      else if art.rev < e.base_rev then
-        Gap
-          (Printf.sprintf "artifact rev %d behind entry base %d" art.rev
-             e.base_rev)
-      else begin
-        (* Calibration telemetry scores the shipped observations against
-           the PRE-update posterior — the same signal the leader
-           records, so a follower's scrape page shows posterior quality
-           even when no client ever queries it. [record_update] is a
-           no-op unless metrics are on, keeping the apply path
-           bit-identical for uninstrumented runs. *)
-        if Obs.Metrics.enabled () then
-          Serving.Calibration.record_update
-            ~predictor:(Serving.Predictor.of_artifact art) ~meta:e.meta
-            ~xs:e.xs ~f:e.f;
-        (* The durable commit point: once the append returns, a crash
-           anywhere below is repaired by Recovery's replay at restart. *)
-        Serving.Journal.append journal e;
-        match
-          Obs.Metrics.time m_apply_seconds (fun () ->
-              let inc = Serving.Incremental.of_artifact art in
-              Serving.Incremental.add_batch inc ~xs:e.xs ~f:e.f;
-              let updated = Serving.Incremental.to_artifact inc in
-              ignore (Serving.Store.save ~durability ~root updated);
-              updated)
-        with
-        | updated ->
-            Serving.Journal.truncate journal;
-            Obs.Metrics.inc m_applied;
-            Applied updated
-        | exception exn ->
-            (* a rejected apply must not replay at the next restart *)
-            Serving.Journal.truncate journal;
-            Gap (Printexc.to_string exn)
-      end
 
 let snapshot ?(durability = `Durable) ~root data =
   match Serving.Artifact.of_string data with

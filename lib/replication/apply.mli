@@ -1,41 +1,12 @@
-(** Follower-side application of replicated state, under the same
-    durability contract as a leader update.
+(** Follower-side installation of catch-up snapshots.
 
-    {!entry} applies one streamed WAL record with the exact rank-1
-    incremental update: the entry is appended to the {e follower's own}
-    journal (fsynced under [`Durable]) {e before} the posterior is
-    recomputed, so a follower killed between append and artifact save
-    recovers by the ordinary {!Serving.Recovery} replay at restart —
-    no replication-specific recovery path exists. After the updated
-    artifact is durably saved the journal is truncated, exactly like
-    the leader's commit sequence. Because the incremental update is
-    exact and deterministic, a follower that applies the same entries
-    in the same order ends bit-identical to the leader.
-
-    {!snapshot} installs a full-artifact catch-up transfer: the bytes
-    are decoded (checksum-verified) and durably saved. Snapshots never
-    touch the journal — they are idempotent whole-state writes. *)
-
-type outcome =
-  | Applied of Serving.Artifact.t
-      (** The store now holds the updated artifact (rev = base_rev + 1). *)
-  | Stale of int
-      (** The local artifact is already past [base_rev] (its revision is
-          returned) — a duplicate delivery after a snapshot or replay.
-          Safe to ack. *)
-  | Gap of string
-      (** The entry cannot apply here: no local artifact, a revision
-          hole, or the apply failed. The link must be dropped and the
-          subscription restarted so snapshot catch-up can repair it. *)
-
-val entry :
-  ?durability:Serving.Store.durability ->
-  root:string ->
-  journal:Serving.Journal.t ->
-  Serving.Journal.entry ->
-  outcome
-(** Journal-append, apply, durably save, truncate — in that order.
-    Default durability: [`Durable]. *)
+    {!snapshot} installs a full-artifact transfer: the bytes are decoded
+    (checksum-verified) and saved. Snapshots never touch the journal —
+    they are idempotent whole-state writes. Streamed journal entries do
+    not come through here: the follower applies them with the same
+    {!Serving.Update.commit} as the leader (see [Server.Daemon]), so a
+    follower killed mid-apply recovers by the ordinary
+    {!Serving.Recovery} replay. *)
 
 val snapshot :
   ?durability:Serving.Store.durability ->
@@ -44,4 +15,5 @@ val snapshot :
   (Serving.Artifact.t, string) result
 (** Decodes and installs one snapshot (any codec {!Serving.Artifact}
     accepts); skips the save when the local artifact is already at or
-    past the snapshot's revision and returns the newer local one. *)
+    past the snapshot's revision and returns the newer local one.
+    Default durability: [`Durable]. *)

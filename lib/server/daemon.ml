@@ -187,6 +187,21 @@ let g_follower_lag_entries =
     ~help:"Leader commits not yet applied by this follower (0 on the leader)"
     "bmf_repl_follower_lag_entries"
 
+let m_repl_applied =
+  Obs.Metrics.counter ~help:"Replicated journal entries applied"
+    "bmf_repl_applied_total"
+
+let m_repl_stale =
+  Obs.Metrics.counter ~help:"Replicated entries skipped as already applied"
+    "bmf_repl_stale_total"
+
+let m_repl_apply_seconds =
+  Obs.Metrics.histogram
+    ~help:
+      "Per-entry follower apply latency: calibration, evidence scoring, \
+       write-ahead commit and publish"
+    "bmf_repl_apply_seconds"
+
 let g_apply_delay =
   Obs.Metrics.gauge
     ~help:
@@ -640,6 +655,62 @@ let writer_predictor t meta =
    immediately predicts on another worker must see this revision. *)
 let publish t artifact = ignore (Serving.Snapshot.publish t.snapshot artifact)
 
+(* Writer only: the update apply both roles run, the leader for a client
+   [update] and the follower for a streamed journal entry. [base] is the
+   published model at [entry]'s base revision. Raises when the commit
+   is refused; by then the journal is rolled back and the stored
+   revision is the published one. *)
+let apply_update t (base : Serving.Snapshot.entry)
+    (entry : Serving.Journal.entry) =
+  let { Serving.Journal.meta; xs; f; _ } = entry in
+  (* calibration scores the incoming observations against the
+     PRE-update posterior (the model as it was when these samples
+     arrived); a no-op unless metrics are on *)
+  if Obs.Metrics.enabled () then
+    Serving.Calibration.record_update ~predictor:base.Serving.Snapshot.predictor
+      ~meta ~xs ~f;
+  (* BMA evidence, phase 1 (pure): every ensemble containing this model
+     scores the batch under its members' *pre-update* predictors —
+     genuinely held-out density for the member about to absorb these
+     samples, and the same data and models on every replica, so the
+     accumulated evidence is identical on leader and followers *)
+  let scored_ensembles =
+    List.filter_map
+      (fun s ->
+        match
+          Ensemble.Manager.score ~predictor_of:(writer_predictor t) s ~xs ~f
+        with
+        | s -> Some s
+        | exception _ -> None)
+      (Ensemble.Manager.containing t.ensembles meta)
+  in
+  let updated =
+    match
+      Serving.Update.commit ~durability:t.config.durability ~root:t.root
+        t.journal base.Serving.Snapshot.artifact entry
+    with
+    | updated -> updated
+    | exception e ->
+        (* the commit can raise after its save landed (the directory
+           fsync, the journal truncate): serve what the store holds, so
+           the next base-revision check agrees with the disk that
+           catch-up snapshots and a follower's subscribe vector read *)
+        (match Serving.Store.load ~root:t.root meta with
+        | Ok stored -> publish t stored
+        | Error _ -> ());
+        raise e
+  in
+  publish t updated;
+  (* BMA evidence, phase 2: the update committed, so the scored
+     ensemble states become durable and visible. A failed ensemble save
+     must not fail the committed update. *)
+  List.iter
+    (fun s ->
+      try Ensemble.Manager.commit t.ensembles ~durability:t.config.durability s
+      with _ -> ())
+    scored_ensembles;
+  updated
+
 (* ------------------------------------------------------------------ *)
 (* Connection plumbing. Every conn is owned by one domain (the writer
    or one worker). [close_conn] closes the fd and marks the record;
@@ -1091,6 +1162,65 @@ let apply_snapshot_chunk t conn ~meta ~rev ~total ~offset ~data =
         end
   end
 
+(* One streamed journal entry, applied through the same [apply_update]
+   as a leader update. A duplicate is acked without applying again; a
+   revision gap or a refused apply drops the link, and the backed-off
+   resubscribe repairs it by snapshot catch-up. *)
+let apply_streamed_entry t conn (frame : Wire.frame) ~seq ~ts entry =
+  let ack () =
+    if seq > t.leader_seq then t.leader_seq <- seq;
+    note_follower_lag t;
+    link_ack conn seq
+  in
+  match Serving.Journal.decode_entry entry with
+  | Error _ -> close_conn t conn
+  | Ok e -> (
+      match writer_model t e.Serving.Journal.meta with
+      | Error _ -> close_conn t conn (* no base artifact: a gap *)
+      | Ok base -> (
+          match
+            Serving.Update.rule
+              ~rev:base.Serving.Snapshot.artifact.Serving.Artifact.rev e
+          with
+          | Serving.Update.Gap -> close_conn t conn
+          | Serving.Update.Stale ->
+              (* a duplicate after a snapshot or replay: already in *)
+              Obs.Metrics.inc m_repl_stale;
+              if seq > Atomic.get t.commit_seq then Atomic.set t.commit_seq seq;
+              ack ()
+          | Serving.Update.Apply -> (
+              let apply_t0 =
+                if Obs.Trace.enabled () then Obs.Clock.now_us () else 0.
+              in
+              match
+                Obs.Metrics.time m_repl_apply_seconds (fun () ->
+                    apply_update t base e)
+              with
+              | exception _ -> close_conn t conn
+              | _ ->
+                  Obs.Metrics.inc m_repl_applied;
+                  Atomic.set t.commit_seq seq;
+                  (* lag in seconds: leader commit wall time -> local apply *)
+                  let delay =
+                    if ts > 0. then Obs.Clock.wall () -. ts else nan
+                  in
+                  t.last_apply_delay <- delay;
+                  Hashtbl.replace t.model_apply e.Serving.Journal.meta
+                    (seq, delay);
+                  if Float.is_finite delay then
+                    Obs.Metrics.set g_apply_delay delay;
+                  (* the apply span joins the originating update's trace:
+                     the push header carried the leader's server-span id *)
+                  if Obs.Trace.enabled () then
+                    Obs.Trace.complete ~cat:"repl"
+                      ~trace:frame.Wire.frame_trace
+                      ~parent:frame.Wire.frame_span
+                      ~attrs:[ ("seq", Obs.Trace.Int seq) ]
+                      ~start_us:apply_t0
+                      ~dur_us:(Obs.Clock.now_us () -. apply_t0)
+                      "repl_apply";
+                  ack ())))
+
 let on_link_frame t conn (frame : Wire.frame) =
   if not (Wire.is_push_kind frame.Wire.frame_kind) then
     (* only error frames are legal here (e.g. Not_leader from a peer
@@ -1101,80 +1231,8 @@ let on_link_frame t conn (frame : Wire.frame) =
     | Error _ -> close_conn t conn
     | Ok (Wire.Snapshot_chunk { meta; rev; total; offset; data }) ->
         apply_snapshot_chunk t conn ~meta ~rev ~total ~offset ~data
-    | Ok (Wire.Journal_entry { seq; ts; entry }) -> (
-        match Serving.Journal.decode_entry entry with
-        | Error _ -> close_conn t conn
-        | Ok e -> (
-            (* BMA evidence phase 1, follower side: score the shipped
-               batch under the *pre-apply* predictors — the same data
-               and the same pre-update models as on the leader, so the
-               accumulated evidence is identical on both sides.
-               Committed only if the entry actually applies. *)
-            let scored_ensembles =
-              match
-                Ensemble.Manager.containing t.ensembles e.Serving.Journal.meta
-              with
-              | [] -> []
-              | states ->
-                  List.filter_map
-                    (fun s ->
-                      match
-                        Ensemble.Manager.score
-                          ~predictor_of:(writer_predictor t) s
-                          ~xs:e.Serving.Journal.xs ~f:e.Serving.Journal.f
-                      with
-                      | s -> Some s
-                      | exception _ -> None)
-                    states
-            in
-            let apply_t0 =
-              if Obs.Trace.enabled () then Obs.Clock.now_us () else 0.
-            in
-            match
-              Replication.Apply.entry ~durability:t.config.durability
-                ~root:t.root ~journal:t.journal e
-            with
-            | Replication.Apply.Applied art ->
-                Atomic.set t.commit_seq seq;
-                if seq > t.leader_seq then t.leader_seq <- seq;
-                (* lag in seconds: leader commit wall time -> local apply *)
-                let delay =
-                  if ts > 0. then Obs.Clock.wall () -. ts else nan
-                in
-                t.last_apply_delay <- delay;
-                Hashtbl.replace t.model_apply e.Serving.Journal.meta
-                  (seq, delay);
-                if Float.is_finite delay then
-                  Obs.Metrics.set g_apply_delay delay;
-                note_follower_lag t;
-                (* the apply span joins the originating update's trace:
-                   the push header carried the leader's server-span id *)
-                if Obs.Trace.enabled () then
-                  Obs.Trace.complete ~cat:"repl"
-                    ~trace:frame.Wire.frame_trace
-                    ~parent:frame.Wire.frame_span
-                    ~attrs:[ ("seq", Obs.Trace.Int seq) ]
-                    ~start_us:apply_t0
-                    ~dur_us:(Obs.Clock.now_us () -. apply_t0)
-                    "repl_apply";
-                publish t art;
-                (* BMA evidence phase 2: the entry applied, so the
-                   scored states commit here too (a [Stale] replay must
-                   not double-count evidence) *)
-                List.iter
-                  (fun s ->
-                    try
-                      Ensemble.Manager.commit t.ensembles
-                        ~durability:t.config.durability s
-                    with _ -> ())
-                  scored_ensembles;
-                link_ack conn seq
-            | Replication.Apply.Stale _ ->
-                if seq > Atomic.get t.commit_seq then Atomic.set t.commit_seq seq;
-                if seq > t.leader_seq then t.leader_seq <- seq;
-                note_follower_lag t;
-                link_ack conn seq
-            | Replication.Apply.Gap _ -> close_conn t conn))
+    | Ok (Wire.Journal_entry { seq; ts; entry }) ->
+        apply_streamed_entry t conn frame ~seq ~ts entry
     | Ok (Wire.Repl_status { seq; snapshots = _; ts = _ }) ->
         (* catch-up complete: the snapshots embody every commit <= seq *)
         if seq > Atomic.get t.commit_seq then Atomic.set t.commit_seq seq;
@@ -1867,17 +1925,17 @@ let run_ensemble_group t ~arena name members =
                 Wire.Ensemble_predicted { means = mu; within; between })
             members)
 
-(* The single-writer commit path: journal append -> incremental fold ->
-   durable save -> journal truncate -> snapshot publish -> replication
-   fan-out. Returns the response; the caller frames it. The push
-   carries [p]'s trace context and [p]'s server span parents the
-   kernel span. *)
+(* The leader's update: build the journal entry on the published base
+   revision, run the shared apply (journal append -> incremental fold
+   -> durable save -> journal truncate -> snapshot publish), then ship
+   the entry to subscribers. Returns the response; the caller frames
+   it. The push carries [p]'s trace context and [p]'s server span
+   parents the kernel span. *)
 let commit_update t (p : pending) meta xs f : Wire.response =
   match writer_model t meta with
   | Error e -> Wire.Error e
-  | Ok current -> (
-      let artifact = current.Serving.Snapshot.artifact in
-      let predictor = current.Serving.Snapshot.predictor in
+  | Ok base -> (
+      let predictor = base.Serving.Snapshot.predictor in
       let dim = Polybasis.Basis.dim (Serving.Predictor.basis predictor) in
       if Linalg.Mat.cols xs <> dim then
         bad_request
@@ -1890,55 +1948,14 @@ let commit_update t (p : pending) meta xs f : Wire.response =
         let entry =
           {
             Serving.Journal.meta;
-            base_rev = artifact.Serving.Artifact.rev;
+            base_rev = base.Serving.Snapshot.artifact.Serving.Artifact.rev;
             xs;
             f;
           }
         in
-        (* calibration scores the incoming observations against the
-           PRE-update posterior (the model as it was when these samples
-           arrived); a no-op unless metrics are on *)
-        if Obs.Metrics.enabled () then
-          Serving.Calibration.record_update ~predictor ~meta ~xs ~f;
-        (* BMA evidence, phase 1 (pure): every ensemble containing this
-           model scores the incoming batch under its members'
-           *pre-update* predictors — genuinely held-out density for the
-           member about to absorb these samples. Committed only after
-           the update itself commits. *)
-        let scored_ensembles =
-          List.filter_map
-            (fun s ->
-              match
-                Ensemble.Manager.score ~predictor_of:(writer_predictor t) s
-                  ~xs ~f
-              with
-              | s -> Some s
-              | exception _ -> None)
-            (Ensemble.Manager.containing t.ensembles meta)
-        in
         let k0 = if Obs.Trace.enabled () then Obs.Clock.now_us () else 0. in
-        match
-          (* write-ahead: journal + fsync the raw samples first, so a
-             crash anywhere past this point can no longer lose the
-             update — recovery replays it against the base revision *)
-          Serving.Journal.append t.journal entry;
-          let upd = Serving.Incremental.of_artifact artifact in
-          Serving.Incremental.add_batch upd ~xs ~f;
-          let updated = Serving.Incremental.to_artifact upd in
-          ignore
-            (Serving.Store.save ~durability:t.config.durability ~root:t.root
-               updated);
-          (* the artifact is durable: the journal entry has served its
-             purpose and must not be replayed on the next start *)
-          Serving.Journal.truncate t.journal;
-          updated
-        with
-        | exception e ->
-            (* the update was rejected (degenerate sample, I/O error):
-               roll the journal back so the refused entry cannot be
-               replayed at restart as if it had been accepted *)
-            (try Serving.Journal.truncate t.journal with _ -> ());
-            internal_error e
+        match apply_update t base entry with
+        | exception e -> internal_error e
         | updated ->
             if Obs.Trace.enabled () && p.p_req_span > 0 then
               Obs.Trace.complete ~cat:"server" ~trace:p.p_trace
@@ -1947,17 +1964,6 @@ let commit_update t (p : pending) meta xs f : Wire.response =
                 ~start_us:k0
                 ~dur_us:(Obs.Clock.now_us () -. k0)
                 "srv_kernel";
-            publish t updated;
-            (* BMA evidence, phase 2: the update committed, so the
-               scored ensemble states become durable and visible. A
-               failed ensemble save must not fail the acked update. *)
-            List.iter
-              (fun s ->
-                try
-                  Ensemble.Manager.commit t.ensembles
-                    ~durability:t.config.durability s
-                with _ -> ())
-              scored_ensembles;
             (* the commit is durable and published: ship it to
                subscribers before the acknowledgement is even queued.
                The push carries this update's trace context (the server

@@ -33,6 +33,17 @@
     update takes effect once committed (and is persisted to the
     {!Serving.Store} before the response frame is queued).
 
+    Leader and follower commit an update the same way: the writer takes
+    the base revision from the published snapshot, scores the batch
+    for calibration and for every ensemble holding the model, runs
+    {!Serving.Update.commit} (journal append, exact rank-1 fold, durable
+    save, journal truncate), publishes the new revision and only then
+    commits the ensembles' evidence. The leader builds the journal entry
+    from a client [update] and ships it to subscribers; the follower
+    takes it from the link, skips it when its store is already past the
+    entry's base ([Stale]), drops the link on a revision gap, and acks
+    the sequence once applied.
+
     Backpressure is explicit: when a worker's queue is full a [Busy]
     error frame is sent immediately — the daemon never buffers
     unboundedly. Predict batches whose response could not fit in one
@@ -55,9 +66,11 @@
     (summed over workers) and error counters ([bmf_server_busy_total],
     [bmf_server_deadline_total], [bmf_server_errors_total]). Replication
     publishes [bmf_server_role{role=...}] (1 on the active series),
-    [bmf_repl_follower_lag_entries] and
-    [bmf_repl_apply_delay_seconds]; accepted updates feed the
-    per-model [bmf_calibration_*] gauges (see
+    [bmf_repl_follower_lag_entries], [bmf_repl_apply_delay_seconds] and,
+    on a follower, [bmf_repl_applied_total], [bmf_repl_stale_total] and
+    the [bmf_repl_apply_seconds] histogram (timing the whole apply:
+    calibration, evidence scoring, commit and publish); accepted updates
+    feed the per-model [bmf_calibration_*] gauges (see
     {!Serving.Calibration}). *)
 
 type address = Tcp of string * int | Unix_socket of string

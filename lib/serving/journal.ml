@@ -171,101 +171,6 @@ let decode_entry data =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tail reader: observe entries appended by another process.           *)
-
-module Tail = struct
-  let empty_fnv = Artifact.fnv64 ""
-
-  type t = {
-    path : string;
-    mutable offset : int;
-        (* bytes durably consumed; 0 = header not yet verified *)
-    mutable seen : int64;  (* fnv64 of the consumed prefix *)
-  }
-
-  let create ~root = { path = file ~root; offset = 0; seen = empty_fnv }
-
-  let offset t = t.offset
-
-  let with_file t f =
-    if not (Sys.file_exists t.path) then ([], None)
-    else begin
-      let ic = open_in_bin t.path in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
-    end
-
-  (* Scan whole entries out of [data]; anything short or not yet
-     checksummable stays pending for the next poll. A writer appends the
-     16-byte header before the payload, so a reader racing the writer can
-     observe any prefix of an entry — all such prefixes park here without
-     advancing. A checksum mismatch over a *complete* payload is reported
-     but also left pending: it is indistinguishable from bytes still in
-     flight, and a real corruption simply stalls the tail at that entry. *)
-  let scan data =
-    let len = String.length data in
-    let rec go at acc =
-      if len - at < 16 then (at, List.rev acc, None)
-      else begin
-        let payload_len = Int64.to_int (String.get_int64_le data at) in
-        let stored = String.get_int64_le data (at + 8) in
-        if payload_len < 0 then
-          (at, List.rev acc, Some "negative entry length")
-        else if payload_len > len - at - 16 then (at, List.rev acc, None)
-        else begin
-          let payload = String.sub data (at + 16) payload_len in
-          if not (Int64.equal (Artifact.fnv64 payload) stored) then
-            (at, List.rev acc, Some "entry checksum mismatch (pending)")
-          else
-            match decode_payload payload with
-            | exception Bad msg -> (at, List.rev acc, Some ("bad entry: " ^ msg))
-            | e -> go (at + 16 + payload_len) (e :: acc)
-        end
-      end
-    in
-    go 0 []
-
-  let poll t =
-    with_file t (fun ic ->
-        let len = in_channel_length ic in
-        let data = really_input_string ic len in
-        (* A shrink means the writer truncated (commit completed) and the
-           tail starts over from the header. But ftruncate keeps the
-           inode, so a new incarnation that already regrew to (or past)
-           the consumed offset is only visible in the bytes themselves —
-           the consumed prefix no longer hashes to what was consumed.
-           (An incarnation byte-identical to the consumed prefix is
-           indistinguishable, and redelivering it would be a no-op.) *)
-        if
-          len < t.offset
-          || (t.offset > 0
-             && not
-                  (Int64.equal
-                     (Artifact.fnv64 (String.sub data 0 t.offset))
-                     t.seen))
-        then begin
-          t.offset <- 0;
-          t.seen <- empty_fnv
-        end;
-        let header_ok =
-          if t.offset > 0 then true
-          else if len < String.length magic then false
-          else String.equal (String.sub data 0 (String.length magic)) magic
-        in
-        if not header_ok then
-          (if len >= String.length magic then ([], Some "bad journal magic")
-           else ([], None))
-        else begin
-          if t.offset = 0 then t.offset <- String.length magic;
-          let consumed, entries, diag =
-            scan (String.sub data t.offset (len - t.offset))
-          in
-          t.offset <- t.offset + consumed;
-          t.seen <- Artifact.fnv64 (String.sub data 0 t.offset);
-          (entries, diag)
-        end)
-end
-
-(* ------------------------------------------------------------------ *)
 (* Append handle.                                                      *)
 
 type t = {
@@ -282,17 +187,6 @@ let m_bytes =
   Obs.Metrics.counter ~help:"Journal bytes written"
     "bmf_journal_bytes_written_total"
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then begin
-      let w = Unix.write fd b off (n - off) in
-      go (off + w)
-    end
-  in
-  go 0
-
 let maybe_fsync t =
   match t.durability with
   | `Fast -> ()
@@ -301,7 +195,7 @@ let maybe_fsync t =
       Unix.fsync t.fd
 
 let open_ ?(durability = `Durable) ~root () =
-  if not (Sys.file_exists root) then Sys.mkdir root 0o755;
+  Store.mkdir_p root;
   let path = file ~root in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   let t = { fd; durability; entries = 0 } in
@@ -311,14 +205,14 @@ let open_ ?(durability = `Durable) ~root () =
   Crashpoint.step ();
   Unix.ftruncate fd 0;
   Crashpoint.step ();
-  write_all fd magic;
+  Store.write_all fd magic;
   maybe_fsync t;
   t
 
 let append t entry =
   let bytes = encode_entry entry in
   Crashpoint.step ();
-  write_all t.fd bytes;
+  Store.write_all t.fd bytes;
   (* fsync BEFORE the caller applies the update: once [append] returns
      the entry survives SIGKILL, so an acknowledged update can always be
      replayed even if the artifact save never completes *)

@@ -1,13 +1,13 @@
 (** Checksummed write-ahead journal for incremental updates.
 
-    Before the daemon applies an [update] to a model, it appends the
-    raw samples here and (under [`Durable]) fsyncs; only then does it
-    compute the new posterior and save the artifact. Once the artifact
-    save is itself durable the journal is truncated. A crash at any
-    point therefore leaves one of two recoverable shapes: the journal
-    holds the update and the artifact is still at the base revision
-    (recovery replays it), or the artifact already advanced (recovery
-    discards the entry). Acknowledged updates survive either way.
+    {!Update.commit} appends an update's raw samples here and (under
+    [`Durable]) fsyncs before it computes the new posterior and saves
+    the artifact; once the artifact save is itself durable it truncates
+    the journal. A crash at any point therefore leaves one of two
+    recoverable shapes: the journal holds the update and the artifact
+    is still at the base revision (recovery replays it), or the
+    artifact already advanced (recovery discards the entry).
+    Acknowledged updates survive either way.
 
     On-disk format, mirroring the {!Artifact} binary codec conventions
     (little-endian i64 integers, IEEE-754 float bits, length-prefixed
@@ -31,15 +31,15 @@ type entry = {
 val file : root:string -> string
 (** [root/journal.bmfj] — excluded from {!Store.list} by extension. *)
 
-(** {2 Append handle (daemon side)} *)
+(** {2 Append handle (driven by {!Update.commit})} *)
 
 type t
 
 val open_ : ?durability:Store.durability -> root:string -> unit -> t
-(** Opens (creating [root] and the file as needed) and resets the
-    journal to a clean header-only state — run {!Recovery.recover}
-    {e first}; any tail still present is discarded here. Default
-    durability: [`Durable]. *)
+(** Opens (creating [root], its parents and the file as needed) and
+    resets the journal to a clean header-only state — run
+    {!Recovery.recover} {e first}; any tail still present is discarded
+    here. Default durability: [`Durable]. *)
 
 val append : t -> entry -> unit
 (** Appends one checksummed entry; under [`Durable] the entry is
@@ -71,34 +71,3 @@ val decode_entry : string -> (entry, string) result
 (** Decodes exactly one framed entry ([u64 len | u64 fnv64 | payload],
     nothing before or after), verifying the checksum — the validation a
     replication follower runs on every wire-shipped WAL record. *)
-
-(** {2 Tail reader (replication + tests)}
-
-    Observes entries appended to a live journal by {e another} process.
-    The reader tracks a byte offset and, on every {!Tail.poll}, decodes
-    any whole entries appended since the last poll. A torn final entry —
-    the writer's append racing the read, or a crash mid-append — is left
-    pending and returned whole by a later poll once the bytes complete.
-    A file shrink (the writer's {!truncate} after a durable artifact
-    save, or a journal reset) restarts the reader from the header, so
-    entries appended after the reset are delivered from scratch. *)
-module Tail : sig
-  type t
-
-  val create : root:string -> t
-  (** No file access happens until the first {!poll}; a journal that does
-      not exist yet simply yields no entries. *)
-
-  val poll : t -> entry list * string option
-  (** Whole entries appended since the last poll, in append order, plus a
-      diagnostic when the scan parked before end-of-file (torn tail still
-      in flight, or a checksum/decoding failure — the latter stalls the
-      tail at the bad entry rather than skipping it). A writer-side
-      {!truncate} is detected even when the new incarnation has regrown
-      past the consumed offset — the consumed prefix is checksummed on
-      every poll — and resets the tail to the top, redelivering the new
-      incarnation's entries from scratch. *)
-
-  val offset : t -> int
-  (** Bytes consumed so far (0 until the header has been verified). *)
-end

@@ -23,30 +23,23 @@ let meta_key (m : Artifact.meta) =
 
 let replay_entry ~durability ~root (e : Journal.entry) =
   match Store.load ~root e.Journal.meta with
-  | Error msg ->
+  | Error _ ->
       (* no base artifact to apply on — nothing replayable; the entry
          pre-dated an artifact that has since vanished or never landed *)
-      `Discarded (Printf.sprintf "no base artifact (%s)" msg)
-  | Ok art ->
-      if art.Artifact.rev > e.base_rev then
-        (* the save completed before the crash: already reflected *)
-        `Discarded
-          (Printf.sprintf "already applied (rev %d > base %d)"
-             art.Artifact.rev e.base_rev)
-      else if art.Artifact.rev < e.base_rev then
-        `Failed
-          (Printf.sprintf "artifact rev %d behind journal base %d"
-             art.Artifact.rev e.base_rev)
-      else begin
-        match
-          let inc = Incremental.of_artifact art in
-          Incremental.add_batch inc ~xs:e.xs ~f:e.f;
-          let updated = Incremental.to_artifact inc in
-          ignore (Store.save ~durability ~root updated)
-        with
-        | () -> `Replayed
-        | exception exn -> `Failed (Printexc.to_string exn)
-      end
+      `Discarded
+  | Ok art -> (
+      match Update.rule ~rev:art.Artifact.rev e with
+      | Update.Stale ->
+          (* the save completed before the crash: already reflected *)
+          `Discarded
+      | Update.Gap ->
+          `Failed
+            (Printf.sprintf "artifact rev %d behind journal base %d"
+               art.Artifact.rev e.base_rev)
+      | Update.Apply -> (
+          match ignore (Store.save ~durability ~root (Update.fold art e)) with
+          | () -> `Replayed
+          | exception exn -> `Failed (Printexc.to_string exn)))
 
 let recover ?(durability = `Durable) ~root () =
   Obs.Trace.with_span ~cat:"serving" "recovery" @@ fun sp ->
@@ -72,7 +65,7 @@ let recover ?(durability = `Durable) ~root () =
     (fun (e : Journal.entry) ->
       match replay_entry ~durability ~root e with
       | `Replayed -> incr replayed
-      | `Discarded _ -> incr discarded
+      | `Discarded -> incr discarded
       | `Failed msg ->
           replay_errors := (meta_key e.Journal.meta, msg) :: !replay_errors)
     journal;

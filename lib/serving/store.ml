@@ -95,33 +95,22 @@ let fsync_dir dir =
   | fd ->
       Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
-let remove_if_exists file =
-  if Sys.file_exists file then begin
-    Crashpoint.step ();
-    try Sys.remove file with Sys_error _ -> ()
-  end
-
-let save ?(format = Artifact.Binary) ?(durability = `Fast) ~root artifact =
-  mkdir_p root;
-  let file = path ~root artifact.Artifact.meta format in
-  Obs.Trace.with_span ~cat:"serving" "store_save" @@ fun sp ->
-  let data = Artifact.to_string format artifact in
-  (* Crash/race safety: write the full payload to a private temp file in
-     the same directory, then atomically rename over the key. A reader
-     (or a running server's model cache) always sees either the previous
-     complete artifact or the new complete artifact — never a torn one.
-     Under [`Durable] the temp file is fsynced before the rename and the
-     directory after it, so the new revision also survives power loss;
-     [`Fast] leaves flushing to the kernel (same guarantees as PR 4). *)
+(* Crash/race safety: write the full payload to a private temp file in
+   the same directory, then atomically rename over the target. A reader
+   (or a running server's model snapshot) always sees either the
+   previous complete file or the new complete file — never a torn one.
+   Under [`Durable] the temp file is fsynced before the rename and the
+   directory after it, so the new file also survives power loss;
+   [`Fast] leaves flushing to the kernel. *)
+let write_atomic ~durability ~dir ~name data =
+  mkdir_p dir;
   let tmp =
-    Filename.concat root
-      (Printf.sprintf ".%s.tmp.%d" (filename artifact.Artifact.meta format)
-         (Unix.getpid ()))
+    Filename.concat dir (Printf.sprintf ".%s.tmp.%d" name (Unix.getpid ()))
   in
   let fsync_s = ref 0. in
-  let timed_fsync fd =
+  let timed_fsync fsync =
     let t0 = Obs.Clock.now_s () in
-    Unix.fsync fd;
+    fsync ();
     fsync_s := !fsync_s +. (Obs.Clock.now_s () -. t0)
   in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
@@ -135,13 +124,13 @@ let save ?(format = Artifact.Binary) ?(durability = `Fast) ~root artifact =
          | `Fast -> ()
          | `Durable ->
              Crashpoint.step ();
-             timed_fsync fd)
+             timed_fsync (fun () -> Unix.fsync fd))
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   (try
      Crashpoint.step ();
-     Sys.rename tmp file
+     Sys.rename tmp (Filename.concat dir name)
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
@@ -149,10 +138,24 @@ let save ?(format = Artifact.Binary) ?(durability = `Fast) ~root artifact =
   | `Fast -> ()
   | `Durable ->
       Crashpoint.step ();
-      let t0 = Obs.Clock.now_s () in
-      fsync_dir root;
-      fsync_s := !fsync_s +. (Obs.Clock.now_s () -. t0);
-      Obs.Metrics.observe m_fsync_seconds !fsync_s);
+      timed_fsync (fun () -> fsync_dir dir));
+  !fsync_s
+
+let remove_if_exists file =
+  if Sys.file_exists file then begin
+    Crashpoint.step ();
+    try Sys.remove file with Sys_error _ -> ()
+  end
+
+let save ?(format = Artifact.Binary) ?(durability = `Fast) ~root artifact =
+  let name = filename artifact.Artifact.meta format in
+  let file = Filename.concat root name in
+  Obs.Trace.with_span ~cat:"serving" "store_save" @@ fun sp ->
+  let data = Artifact.to_string format artifact in
+  let fsync_s = write_atomic ~durability ~dir:root ~name data in
+  (match durability with
+  | `Fast -> ()
+  | `Durable -> Obs.Metrics.observe m_fsync_seconds fsync_s);
   (* only after the new artifact is in place, drop stale copies under
      the other codec's name and under the pre-digest legacy names so a
      key never resolves to an outdated revision *)
@@ -179,6 +182,22 @@ let find ~root meta =
       legacy_path ~root meta Artifact.Json;
     ]
 
+(* Sys_error text is not guaranteed to carry the path; prefix it so a
+   failed read is attributable to its store file. *)
+let read_file file =
+  match
+    let ic = open_in_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | contents -> Ok contents
+  | exception Sys_error msg ->
+      if String.length msg >= String.length file
+         && String.sub msg 0 (String.length file) = file
+      then Error msg
+      else Error (file ^ ": " ^ msg)
+
 (* Read + decode one artifact file, measuring payload size and the
    decode/checksum-verify time (reported by [repro models] and the store
    metrics). *)
@@ -186,24 +205,11 @@ let load_file file =
   Obs.Trace.with_span ~cat:"serving" "store_load" @@ fun sp ->
   Obs.Trace.set_attr sp "file" (Obs.Trace.Str file);
   Obs.Metrics.inc m_loads;
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg ->
+  match read_file file with
+  | Error msg ->
       Obs.Metrics.inc m_corrupt;
-      (* Sys_error text is not guaranteed to carry the path; prefix it
-         so a failed read is attributable to its store file *)
-      let msg =
-        if String.length msg >= String.length file
-           && String.sub msg 0 (String.length file) = file
-        then msg
-        else file ^ ": " ^ msg
-      in
       (Error ("artifact: " ^ msg), 0, 0.)
-  | contents ->
+  | Ok contents ->
       let bytes = String.length contents in
       Obs.Trace.set_attr sp "bytes" (Obs.Trace.Int bytes);
       Obs.Metrics.inc ~by:(float_of_int bytes) m_bytes_read;

@@ -19,6 +19,10 @@ type durability = [ `Fast | `Durable ]
     survives SIGKILL {e and} power loss. The daemon saves [`Durable];
     benches and one-shot CLI fits default to [`Fast]. *)
 
+val sanitize : string -> string
+(** Maps every character outside [[A-Za-z0-9.-]] to ['_']: the
+    readable, lossy part of a registry filename. *)
+
 val filename : Artifact.meta -> Artifact.format -> string
 (** The registry filename for a key (components sanitized, digest
     suffix appended). *)
@@ -39,6 +43,35 @@ val save :
     its model cache while [repro update] saves — can never observe a
     torn artifact. Stale copies (other codec, legacy pre-digest names)
     are removed only after the new file is in place. *)
+
+(** {2 The atomic file writer}
+
+    Every file the registries keep — [.bmfa] artifacts here, [.bmfe]
+    ensemble states in [Ensemble.Store] — is written through
+    {!write_atomic}, so they share one crash protocol and recovery's
+    temp-file sweep covers them all. *)
+
+val mkdir_p : string -> unit
+(** Creates a directory and any missing parents. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Writes the whole string, retrying short writes. *)
+
+val write_atomic :
+  durability:durability -> dir:string -> name:string -> string -> float
+(** [write_atomic ~durability ~dir ~name data] replaces [dir/name] with
+    [data], creating [dir] as needed: write a private
+    [.{name}.tmp.{pid}] (fsynced under [`Durable]), rename it over
+    [name], then (under [`Durable]) fsync [dir]. A reader sees the old
+    or the new file, never a torn one. Each of those syscalls is a
+    {!Crashpoint.step}. Returns the seconds spent in fsync (0 under
+    [`Fast]); the temp file is removed if the write or rename raises. *)
+
+val is_temp : string -> bool
+(** Whether a directory entry is a {!write_atomic} temp file. *)
+
+val read_file : string -> (string, string) result
+(** The whole file; the error names the file. *)
 
 val find : root:string -> Artifact.meta -> string option
 (** The stored file for a key, if present (binary preferred; legacy

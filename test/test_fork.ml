@@ -1,5 +1,5 @@
 (* Fork-based tests: crash fault injection at every step of the store
-   and update write protocols, a journal tail fed by another process,
+   and update write protocols and of a follower's catch-up and apply,
    and the promise that a [--shards 1] daemon spawns no domain. OCaml 5
    refuses [Unix.fork] once any domain has been spawned, so nothing in
    this executable spawns one: the shared pool is pinned to a single
@@ -64,21 +64,21 @@ let fresh_batch (s : synth) ~tag ~k =
   in
   (xs, f)
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
 let with_temp_root f =
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "bmf-fork-test-%d" (Unix.getpid ()))
   in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists root then rm root;
-  Fun.protect ~finally:(fun () -> if Sys.file_exists root then rm root)
-    (fun () -> f root)
+  rm_rf root;
+  Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
 
 (* ------------------------------------------------------------------ *)
 (* Crash fault injection: SIGKILL at every step of the write protocol  *)
@@ -188,29 +188,58 @@ let test_crash_at_every_save_step () =
   in
   Serving.Incremental.add_batch upd ~xs ~f;
   let updated = Serving.Incremental.to_artifact upd in
+  (* an ensemble over the model, whose [.bmfe] goes through the same
+     atomic writer: the old state, and the state after one scored batch *)
+  let ens_old =
+    match Ensemble.State.add (Ensemble.State.create "pair") meta with
+    | Ok st -> st
+    | Error e -> Alcotest.failf "ensemble add: %s" e
+  in
+  let ens_new = Ensemble.State.record ens_old [| (-1.5, 5) |] in
+  let bytes = Ensemble.State.to_binary_string in
+  ignore (Ensemble.Store.save ~durability:`Durable ~root ens_old);
+  let stored_ensemble n =
+    match Ensemble.Store.load ~root "pair" with
+    | Ok st -> bytes st
+    | Error e -> Alcotest.failf "ensemble unreadable after kill at %d: %s" n e
+  in
   let invariant ~n ~report:_ =
-    match Serving.Store.load ~root meta with
+    (match Serving.Store.load ~root meta with
     | Error e -> Alcotest.failf "store unreadable after kill at %d: %s" n e
     | Ok b ->
         check_bool
           (Printf.sprintf "kill at %d leaves base or updated rev" n)
           true
-          (b.rev = a.rev || b.rev = updated.rev)
+          (b.rev = a.rev || b.rev = updated.rev));
+    let e = stored_ensemble n in
+    check_bool
+      (Printf.sprintf "kill at %d leaves the old or new ensemble" n)
+      true
+      (String.equal e (bytes ens_old) || String.equal e (bytes ens_new));
+    check_int
+      (Printf.sprintf "kill at %d: recovery swept every temp file" n)
+      0
+      (List.length (Serving.Store.list_temp_files ~root))
   in
   let steps =
     sweep_crashpoints ~root ~invariant (fun () ->
-        ignore (Serving.Store.save ~durability:`Durable ~root updated))
+        ignore (Serving.Store.save ~durability:`Durable ~root updated);
+        ignore (Ensemble.Store.save ~durability:`Durable ~root ens_new))
   in
   (* write temp, fsync temp, rename, fsync dir — at least those *)
   check_bool "save has distinct kill points" true (steps >= 4);
+  check_bool "the ensemble save has its own kill points" true (steps >= 8);
+  check_bool "clean run leaves the new ensemble" true
+    (String.equal (bytes ens_new) (stored_ensemble steps));
   match Serving.Store.load ~root meta with
   | Error e -> Alcotest.failf "final load: %s" e
   | Ok b -> check_int "clean run leaves the update" updated.rev b.rev
 
 let test_crash_at_every_update_protocol_step () =
-  (* The full daemon-side update protocol: journal append (commit
-     point) -> incremental apply -> durable artifact save -> journal
-     truncate. Killed anywhere, recovery must land on the base or the
+  (* The write-ahead update commit every writer runs
+     ([Serving.Update.commit]): journal append (commit point) ->
+     incremental apply -> durable artifact save -> journal truncate.
+     Killed anywhere, recovery must land on the base or the
      updated artifact, and whenever the journal committed the entry the
      update must survive via replay, bit-identical to the uncrashed
      oracle. *)
@@ -233,13 +262,9 @@ let test_crash_at_every_update_protocol_step () =
   in
   let protocol () =
     let j = Serving.Journal.open_ ~root () in
-    Serving.Journal.append j { Serving.Journal.meta; base_rev = a.rev; xs; f };
-    let upd = Serving.Incremental.of_artifact a in
-    Serving.Incremental.add_batch upd ~xs ~f;
     ignore
-      (Serving.Store.save ~durability:`Durable ~root
-         (Serving.Incremental.to_artifact upd));
-    Serving.Journal.truncate j;
+      (Serving.Update.commit ~durability:`Durable ~root j a
+         { Serving.Journal.meta; base_rev = a.rev; xs; f });
     Serving.Journal.close j
   in
   let invariant ~n ~report:_ =
@@ -284,8 +309,8 @@ let test_crash_at_every_update_protocol_step () =
         (Array.for_all2 Float.equal oracle.coeffs b.coeffs)
 
 let test_crash_random_interleavings () =
-  (* Property-style: a chain of updates is applied through the
-     journaled protocol and the process is killed after a random number
+  (* Property-style: a chain of updates is applied through
+     [Serving.Update.commit] and the process is killed after a random number
      of durability steps. Post-recovery the store must hold {e some}
      prefix of the chain — an artifact that verifies and is
      bit-identical to the uncrashed oracle at that revision. *)
@@ -316,18 +341,17 @@ let test_crash_random_interleavings () =
     batches;
   let chain () =
     let j = Serving.Journal.open_ ~root () in
-    let cur = ref a in
-    List.iter
-      (fun (xs, f) ->
-        Serving.Journal.append j
-          { Serving.Journal.meta; base_rev = !cur.Serving.Artifact.rev; xs; f };
-        let upd = Serving.Incremental.of_artifact !cur in
-        Serving.Incremental.add_batch upd ~xs ~f;
-        let next = Serving.Incremental.to_artifact upd in
-        ignore (Serving.Store.save ~durability:`Durable ~root next);
-        Serving.Journal.truncate j;
-        cur := next)
-      batches;
+    ignore
+      (List.fold_left
+         (fun cur (xs, f) ->
+           Serving.Update.commit ~durability:`Durable ~root j cur
+             {
+               Serving.Journal.meta;
+               base_rev = cur.Serving.Artifact.rev;
+               xs;
+               f;
+             })
+         a batches);
     Serving.Journal.close j
   in
   let trials = 25 in
@@ -358,50 +382,181 @@ let test_crash_random_interleavings () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Journal tail fed by another process                                 *)
+(* A follower killed at every step of its catch-up and first apply     *)
 
-let test_tail_cross_process_appends () =
-  with_temp_root @@ fun root ->
-  let s = make_synth ~k:8 ~r:4 () in
-  let batch tag = fresh_batch s ~tag ~k:2 in
-  let tail = Serving.Journal.Tail.create ~root in
-  (* nothing there yet: no file is not an error *)
-  let entries, diag = Serving.Journal.Tail.poll tail in
-  check_int "empty poll" 0 (List.length entries);
-  check_bool "no diagnostic" true (diag = None);
-  (* a forked child appends two entries and exits; the parent's tail
-     must observe exactly them, in order *)
+(* Runs [f] in a forked child that exits 0 when [f] returns. *)
+let spawn f =
   flush stdout;
   flush stderr;
-  (match Unix.fork () with
-  | 0 ->
-      (try
-         let j = Serving.Journal.open_ ~durability:`Durable ~root () in
-         let xs0, f0 = batch 0 and xs1, f1 = batch 1 in
-         Serving.Journal.append j
-           { Serving.Journal.meta; base_rev = 1; xs = xs0; f = f0 };
-         Serving.Journal.append j
-           { Serving.Journal.meta; base_rev = 2; xs = xs1; f = f1 };
-         Serving.Journal.close j;
-         Unix._exit 0
-       with _ -> Unix._exit 2)
-  | pid -> (
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "appender child failed"));
-  let entries, diag = Serving.Journal.Tail.poll tail in
-  check_bool "no diagnostic" true (diag = None);
-  check_int "both entries observed" 2 (List.length entries);
-  List.iteri
-    (fun i e ->
-      check_int "entry order" (i + 1) e.Serving.Journal.base_rev;
-      let _, expect_f = batch i in
-      check_bool "entry payload bit-identical" true
-        (Array.for_all2 Float.equal expect_f e.Serving.Journal.f))
-    entries;
-  (* a second poll re-delivers nothing *)
-  let again, _ = Serving.Journal.Tail.poll tail in
-  check_int "no re-delivery" 0 (List.length again)
+  match Unix.fork () with
+  | 0 -> (
+      match f () with () -> Unix._exit 0 | exception _ -> Unix._exit 2)
+  | pid -> pid
+
+(* A [--shards 1] daemon that drains on SIGTERM. *)
+let serve ?follow ~root addr () =
+  let t = Server.Daemon.create ?follow ~root addr in
+  Server.Daemon.install_signal_handlers t;
+  Server.Daemon.run t
+
+(* One short-lived connection per probe: a dead or not-yet-bound daemon
+   reads as [None]. *)
+let probe addr f =
+  match Server.Client.connect ~retries:0 addr with
+  | exception _ -> None
+  | c ->
+      Fun.protect
+        ~finally:(fun () -> try Server.Client.close c with _ -> ())
+        (fun () -> try f c with _ -> None)
+
+let model_rev addr =
+  probe addr (fun c ->
+      match Server.Client.list_models c with
+      | Ok infos ->
+          List.find_map
+            (fun (i : Server.Wire.model_info) ->
+              if i.meta = meta then Some i.rev else None)
+            infos
+      | Error _ -> None)
+
+let journal_seq addr =
+  probe addr (fun c ->
+      match Server.Client.stats c with
+      | Ok st -> Some st.Server.Client.journal_seq
+      | Error _ -> None)
+
+(* Wait until [cond] holds or the child [pid] exits, whichever is
+   first. *)
+let await pid what cond =
+  let deadline = Unix.gettimeofday () +. 15. in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if cond () then `Ready
+        else if Unix.gettimeofday () > deadline then
+          Alcotest.failf "timed out waiting for %s" what
+        else begin
+          Unix.sleepf 0.005;
+          go ()
+        end
+    | _, status -> `Exited status
+  in
+  go ()
+
+let stop_child pid what =
+  Unix.kill pid Sys.sigterm;
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "%s did not drain cleanly" what
+
+let test_follower_crash_at_every_step () =
+  (* The leader and the follower are forked children. The follower is
+     armed with BMF_CRASH_AFTER_N_WRITES = n for n = 0, 1, 2, ...: it
+     starts on an empty root, catches up by snapshot, then applies one
+     streamed entry, and the budget kills it at the n-th durability
+     step of that run. After every kill its root must recover clean,
+     and a restarted, unarmed follower must converge to a store
+     byte-identical to the leader's. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_temp_root @@ fun root ->
+  let s = make_synth ~k:20 ~r:8 () in
+  let leader_root = Filename.concat root "leader" in
+  let follower_root = Filename.concat root "follower" in
+  ignore (Serving.Store.save ~root:leader_root (artifact_of s));
+  let laddr = Server.Daemon.Unix_socket (Filename.concat root "l.sock") in
+  let fsock = Filename.concat root "f.sock" in
+  let faddr = Server.Daemon.Unix_socket fsock in
+  let leader =
+    spawn (fun () ->
+        Serving.Crashpoint.disarm ();
+        serve ~root:leader_root laddr ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill leader Sys.sigkill;
+      ignore (Unix.waitpid [] leader))
+  @@ fun () ->
+  let cl = Server.Client.connect laddr in
+  Fun.protect ~finally:(fun () -> Server.Client.close cl) @@ fun () ->
+  let follower ~armed =
+    if Sys.file_exists fsock then Sys.remove fsock;
+    spawn (fun () ->
+        (match armed with
+        | Some n ->
+            Unix.putenv Serving.Crashpoint.env_var (string_of_int n);
+            Serving.Crashpoint.reset ()
+        | None -> Serving.Crashpoint.disarm ());
+        serve ~follow:laddr ~root:follower_root faddr ())
+  in
+  let leader_rev () = Option.get (model_rev laddr) in
+  let stored_bytes root =
+    match Serving.Store.find ~root meta with
+    | Some file -> In_channel.with_open_bin file In_channel.input_all
+    | None -> Alcotest.failf "no stored artifact under %s" root
+  in
+  let check_converged n =
+    check_bool
+      (Printf.sprintf
+         "budget %d: follower store byte-identical to the leader's" n)
+      true
+      (String.equal (stored_bytes leader_root) (stored_bytes follower_root))
+  in
+  let budget_cap = 64 in
+  let rec go n =
+    if n > budget_cap then
+      Alcotest.failf "follower budget not exhausted after %d steps" budget_cap;
+    rm_rf follower_root;
+    let seq0 = Option.get (journal_seq laddr) in
+    let rev0 = leader_rev () in
+    let pid = follower ~armed:(Some n) in
+    let outcome =
+      match
+        await pid "snapshot catch-up" (fun () -> model_rev faddr = Some rev0)
+      with
+      | `Exited st -> `Exited st
+      | `Ready -> (
+          let xs, f = fresh_batch s ~tag:(100 + n) ~k:3 in
+          (match Server.Client.update cl meta ~xs ~f with
+          | Ok _ -> ()
+          | Error e ->
+              Alcotest.failf "leader update: %s" e.Server.Wire.message);
+          match
+            await pid "streamed apply" (fun () ->
+                match journal_seq faddr with
+                | Some q -> q >= seq0 + 1
+                | None -> false)
+          with
+          | `Exited st -> `Exited st
+          | `Ready -> `Survived)
+    in
+    match outcome with
+    | `Survived ->
+        stop_child pid "the unkilled follower";
+        check_converged n;
+        n
+    | `Exited (Unix.WSIGNALED sg) when sg = Sys.sigkill ->
+        let report =
+          Serving.Recovery.recover ~durability:`Fast ~root:follower_root ()
+        in
+        check_bool
+          (Printf.sprintf "recovery clean after follower kill at step %d" n)
+          true
+          (Serving.Recovery.clean report);
+        let pid = follower ~armed:None in
+        (match
+           await pid "restarted follower" (fun () ->
+               model_rev faddr = Some (leader_rev ()))
+         with
+        | `Ready -> stop_child pid "the restarted follower"
+        | `Exited _ -> Alcotest.failf "restarted follower died (budget %d)" n);
+        check_converged n;
+        go (n + 1)
+    | `Exited _ -> Alcotest.failf "follower died oddly (budget %d)" n
+  in
+  let steps = go 0 in
+  (* journal open (3), snapshot save (4), then the streamed commit:
+     append (2), save (4), truncate (2) *)
+  check_bool "catch-up and apply have many kill points" true (steps >= 12)
 
 (* ------------------------------------------------------------------ *)
 (* The inline worker spawns no domain                                  *)
@@ -490,10 +645,10 @@ let () =
           Alcotest.test_case "random interleavings" `Quick
             test_crash_random_interleavings;
         ] );
-      ( "journal-tail",
+      ( "follower crash",
         [
-          Alcotest.test_case "cross-process appends observed" `Quick
-            test_tail_cross_process_appends;
+          Alcotest.test_case "kill at every catch-up and apply step" `Quick
+            test_follower_crash_at_every_step;
         ] );
       ( "inline worker",
         [

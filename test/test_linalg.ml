@@ -318,7 +318,7 @@ let test_woodbury_rejects_bad_inputs () =
     (fun () -> ignore (Woodbury.factorize ~d:(Array.make 5 1.) ~g ~scale:0.))
 
 (* ------------------------------------------------------------------ *)
-(* Sparse + CG *)
+(* Sparse *)
 
 let test_sparse_roundtrip () =
   let dense = random_mat 5 7 in
@@ -354,25 +354,6 @@ let test_sparse_bounds () =
       ignore
         (Sparse.of_triplets ~rows:2 ~cols:2
            [ { Sparse.row = 2; col = 0; value = 1. } ]))
-
-let test_cg_matches_direct () =
-  let a = random_spd 12 in
-  let b = random_vec 12 in
-  let expected = Cholesky.solve_system a b in
-  let result = Conj_grad.solve (Sparse.of_dense a) b in
-  check_bool "converged" true result.converged;
-  check_bool "solution" true
-    (Vec.approx_equal ~tol:1e-6 result.solution expected)
-
-let test_cg_diagonal_one_step_family () =
-  (* on a diagonal system Jacobi-preconditioned CG converges in one
-     iteration *)
-  let a = Sparse.of_dense (Mat.of_diag [| 2.; 5.; 9. |]) in
-  let result = Conj_grad.solve a [| 2.; 5.; 9. |] in
-  check_bool "solution" true
-    (Vec.approx_equal result.solution [| 1.; 1.; 1. |]);
-  check_bool "fast" true (result.iterations <= 2)
-
 
 (* ------------------------------------------------------------------ *)
 (* Vec/Mat odds and ends *)
@@ -567,23 +548,6 @@ let qcheck_tests =
              (Mat.weighted_outer_gram a (Array.make 4 1.)));
   ]
 
-(* Regression for the conjugate-gradient direction update: when [r.z]
-   underflows to exactly zero while the residual is still above
-   tolerance, [beta = rz_new / rz] is NaN and, unguarded, poisons the
-   search direction and then the solution. The guard must bail out like
-   the non-SPD path instead. *)
-let test_cg_rz_underflow_guard () =
-  let n = 4 in
-  let a =
-    Sparse.of_triplets ~rows:n ~cols:n
-      (List.init n (fun i -> { Sparse.row = i; col = i; value = 1e300 }))
-  in
-  let b = Array.make n 1e-305 in
-  let r = Conj_grad.solve ~precondition:false a b in
-  check_bool "solution stays finite" true
-    (Array.for_all Float.is_finite r.Conj_grad.solution);
-  check_bool "reports non-convergence" false r.Conj_grad.converged
-
 (* Storage-plane invariants of the Bigarray-backed matrices: flat
    round-trips, row blits, and capacity views that share storage. *)
 let test_mat_flat_roundtrip_and_views () =
@@ -684,13 +648,6 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_sparse_duplicate_sum;
           Alcotest.test_case "mv" `Quick test_sparse_mv;
           Alcotest.test_case "bounds" `Quick test_sparse_bounds;
-        ] );
-      ( "conj_grad",
-        [
-          Alcotest.test_case "matches direct" `Quick test_cg_matches_direct;
-          Alcotest.test_case "diagonal" `Quick test_cg_diagonal_one_step_family;
-          Alcotest.test_case "rz underflow guard" `Quick
-            test_cg_rz_underflow_guard;
         ] );
       ( "storage",
         [

@@ -1,9 +1,9 @@
 (* Tests for the replication subsystem: wire opcodes for the
-   subscription/entry-stream protocol, the journal tail reader, backoff
-   determinism, leader-side source bookkeeping, follower-side apply
-   semantics, and an in-process leader/follower pair proving
-   bit-identical reads off the follower. The fork-based cases live in
-   test_fork and test_failover. *)
+   subscription/entry-stream protocol, backoff determinism, leader-side
+   source bookkeeping, the follower's entry rule and snapshot install,
+   and an in-process leader/follower pair proving bit-identical reads
+   off the follower. The fork-based cases live in test_fork and
+   test_failover. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -251,68 +251,6 @@ let test_not_leader_roundtrip () =
   | _ -> Alcotest.fail "not_leader round-trip"
 
 (* ------------------------------------------------------------------ *)
-(* Journal tail reader                                                 *)
-
-let test_tail_torn_final_entry () =
-  with_temp_root @@ fun root ->
-  let s = make_synth ~k:8 ~r:4 () in
-  let xs0, f0 = fresh_batch s ~tag:10 ~k:2 in
-  let xs1, f1 = fresh_batch s ~tag:11 ~k:2 in
-  let whole = { Serving.Journal.meta; base_rev = 5; xs = xs0; f = f0 } in
-  let torn = { Serving.Journal.meta; base_rev = 6; xs = xs1; f = f1 } in
-  (* lay down one complete entry through the normal writer *)
-  let j = Serving.Journal.open_ ~durability:`Fast ~root () in
-  Serving.Journal.append j whole;
-  Serving.Journal.close j;
-  let path = Serving.Journal.file ~root in
-  let torn_bytes = Serving.Journal.encode_entry torn in
-  let cut = String.length torn_bytes / 2 in
-  let append_raw s =
-    let oc =
-      open_out_gen [ Open_append; Open_binary ] 0o644 path
-    in
-    output_string oc s;
-    close_out oc
-  in
-  (* ... then half of the next one, as a crashed writer would leave it *)
-  append_raw (String.sub torn_bytes 0 cut);
-  let tail = Serving.Journal.Tail.create ~root in
-  let entries, _ = Serving.Journal.Tail.poll tail in
-  check_int "only the whole entry delivered" 1 (List.length entries);
-  check_int "whole entry is the first" 5
-    (List.hd entries).Serving.Journal.base_rev;
-  (* the torn suffix arrives: the parked entry becomes whole *)
-  append_raw (String.sub torn_bytes cut (String.length torn_bytes - cut));
-  let entries, diag = Serving.Journal.Tail.poll tail in
-  check_bool "no diagnostic once whole" true (diag = None);
-  check_int "completed entry delivered" 1 (List.length entries);
-  check_int "completed entry revision" 6
-    (List.hd entries).Serving.Journal.base_rev;
-  check_bool "completed entry payload" true
-    (Array.for_all2 Float.equal f1 (List.hd entries).Serving.Journal.f)
-
-let test_tail_truncation_resets () =
-  with_temp_root @@ fun root ->
-  let s = make_synth ~k:8 ~r:4 () in
-  let xs, f = fresh_batch s ~tag:20 ~k:2 in
-  let j = Serving.Journal.open_ ~durability:`Fast ~root () in
-  Serving.Journal.append j { Serving.Journal.meta; base_rev = 1; xs; f };
-  let tail = Serving.Journal.Tail.create ~root in
-  let entries, _ = Serving.Journal.Tail.poll tail in
-  check_int "first incarnation read" 1 (List.length entries);
-  let offset_before = Serving.Journal.Tail.offset tail in
-  check_bool "offset advanced" true (offset_before > 0);
-  (* the writer truncates (commit) and starts a new incarnation *)
-  Serving.Journal.truncate j;
-  Serving.Journal.append j { Serving.Journal.meta; base_rev = 2; xs; f };
-  Serving.Journal.close j;
-  let entries, diag = Serving.Journal.Tail.poll tail in
-  check_bool "no diagnostic across reset" true (diag = None);
-  check_int "new incarnation read from the top" 1 (List.length entries);
-  check_int "new incarnation entry" 2
-    (List.hd entries).Serving.Journal.base_rev
-
-(* ------------------------------------------------------------------ *)
 (* Backoff                                                             *)
 
 let test_backoff_deterministic () =
@@ -421,6 +359,9 @@ let test_source_catchup_and_acks () =
 (* ------------------------------------------------------------------ *)
 (* Follower apply                                                      *)
 
+(* A streamed entry goes through the same [Serving.Update] rule and
+   commit as a leader update; snapshots install through
+   [Replication.Apply.snapshot]. *)
 let test_apply_entry_and_snapshot () =
   with_temp_root @@ fun root ->
   let s = make_synth ~k:20 ~r:8 () in
@@ -435,41 +376,45 @@ let test_apply_entry_and_snapshot () =
   let upd = Serving.Incremental.of_artifact a in
   Serving.Incremental.add_batch upd ~xs ~f;
   let reference = Serving.Incremental.to_artifact upd in
-  (match Replication.Apply.entry ~durability:`Fast ~root ~journal entry with
-  | Replication.Apply.Applied b ->
+  let stored_rev () =
+    match Serving.Store.load ~root meta with
+    | Ok b -> b.Serving.Artifact.rev
+    | Error e -> Alcotest.failf "store: %s" e
+  in
+  (match Serving.Update.rule ~rev:(stored_rev ()) entry with
+  | Serving.Update.Apply ->
+      let b =
+        Serving.Update.commit ~durability:`Fast ~root journal a entry
+      in
       check_int "revision bumped" (a.Serving.Artifact.rev + 1)
         b.Serving.Artifact.rev;
       check_bool "apply is the exact incremental update" true
         (Array.for_all2 Float.equal reference.Serving.Artifact.coeffs
-           b.Serving.Artifact.coeffs)
+           b.Serving.Artifact.coeffs);
+      check_int "store holds the update" b.Serving.Artifact.rev (stored_rev ())
   | _ -> Alcotest.fail "entry did not apply");
   (* the journal was truncated after the durable save: nothing replays *)
   let back, _ = Serving.Journal.read ~root in
   check_int "journal truncated after apply" 0 (List.length back);
   (* duplicate delivery: already past base_rev *)
-  (match Replication.Apply.entry ~durability:`Fast ~root ~journal entry with
-  | Replication.Apply.Stale rev ->
-      check_int "stale reports the local revision" (a.Serving.Artifact.rev + 1)
-        rev
-  | _ -> Alcotest.fail "duplicate was not reported stale");
+  check_bool "duplicate is stale" true
+    (Serving.Update.rule ~rev:(stored_rev ()) entry = Serving.Update.Stale);
   (* a revision hole cannot apply *)
-  (match
-     Replication.Apply.entry ~durability:`Fast ~root ~journal
+  check_bool "revision hole is a gap" true
+    (Serving.Update.rule ~rev:(stored_rev ())
        { entry with Serving.Journal.base_rev = a.Serving.Artifact.rev + 7 }
-   with
-  | Replication.Apply.Gap _ -> ()
-  | _ -> Alcotest.fail "revision hole applied");
-  (* unknown model cannot apply *)
+    = Serving.Update.Gap);
+  (* a refused commit rolls the journal back and re-raises *)
   (match
-     Replication.Apply.entry ~durability:`Fast ~root ~journal
-       {
-         entry with
-         Serving.Journal.meta =
-           { meta with Serving.Artifact.circuit = "ghost" };
-       }
+     Serving.Update.commit ~durability:`Fast ~root journal a
+       { entry with Serving.Journal.f = [| 1. |] }
    with
-  | Replication.Apply.Gap _ -> ()
-  | _ -> Alcotest.fail "unknown model applied");
+  | _ -> Alcotest.fail "mismatched batch committed"
+  | exception Invalid_argument _ -> ());
+  let back, _ = Serving.Journal.read ~root in
+  check_int "refused commit leaves no journal entry" 0 (List.length back);
+  check_int "refused commit leaves the store" (a.Serving.Artifact.rev + 1)
+    (stored_rev ());
   Serving.Journal.close journal;
   (* snapshots: a newer one installs, an older one is a no-op *)
   let newer = { reference with Serving.Artifact.rev = 50 } in
@@ -626,6 +571,146 @@ let test_pair_catchup_stream_and_promote () =
   check_bool "already leader" false was_follower
 
 (* ------------------------------------------------------------------ *)
+(* The follower's entry rule, end to end                               *)
+
+(* The follower checks each streamed entry's base revision against the
+   model it serves. A duplicate (stale) is acked without applying; a
+   revision hole (gap) or a model it holds no base for drops the link,
+   and the resubscription's snapshot catch-up repairs the store. *)
+let test_pair_follower_entry_rule () =
+  Obs.Metrics.enable ();
+  Obs.Events.enable ();
+  Obs.Events.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.disable ();
+      Obs.Events.disable ();
+      Obs.Events.clear ();
+      Serving.Calibration.reset ())
+  @@ fun () ->
+  with_temp_root @@ fun root ->
+  let leader_root = Filename.concat root "leader" in
+  let follower_root = Filename.concat root "follower" in
+  let s = make_synth () in
+  let a = artifact_of s in
+  let gap_meta = { meta with Serving.Artifact.metric = "gap" } in
+  let ghost_meta = { meta with Serving.Artifact.circuit = "ghost" } in
+  let dup_xs, dup_f = fresh_batch s ~tag:400 ~k:4 in
+  ignore (Serving.Store.save ~root:leader_root a);
+  (* the follower already holds the update the leader is about to
+     stream, and an older revision of [gap_meta] than the one the
+     leader will update *)
+  ignore
+    (Serving.Store.save ~root:follower_root
+       (Serving.Update.fold a
+          {
+            Serving.Journal.meta;
+            base_rev = a.Serving.Artifact.rev;
+            xs = dup_xs;
+            f = dup_f;
+          }));
+  ignore
+    (Serving.Store.save ~root:follower_root
+       { a with Serving.Artifact.meta = gap_meta });
+  with_pair ~root @@ fun ~leader:_ ~follower:_ ~laddr ~faddr ->
+  let cl = Server.Client.connect laddr in
+  let cf = Server.Client.connect faddr in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Client.close cf;
+      Server.Client.close cl)
+  @@ fun () ->
+  let counter name =
+    match Obs.Metrics.find_counter name with
+    | Some c -> Obs.Metrics.counter_value c
+    | None -> Alcotest.failf "%s not registered" name
+  in
+  let subscriptions () =
+    List.length
+      (List.filter
+         (fun (e : Obs.Events.event) -> e.kind = "subscriber_connect")
+         (fst (Obs.Events.snapshot ())))
+  in
+  let served_rev m =
+    match Server.Client.list_models cf with
+    | Ok infos -> (
+        match
+          List.find_opt (fun (i : Server.Wire.model_info) -> i.meta = m) infos
+        with
+        | Some i -> i.Server.Wire.rev
+        | None -> -1)
+    | Error _ -> -1
+  in
+  let update m ~xs ~f =
+    fst (ok "leader update" (Server.Client.update cl m ~xs ~f))
+  in
+  let stored_bytes root m =
+    match Serving.Store.find ~root m with
+    | None ->
+        Alcotest.failf "no %s artifact under %s" m.Serving.Artifact.circuit
+          root
+    | Some path -> (
+        match Serving.Store.read_file path with
+        | Ok b -> b
+        | Error e -> Alcotest.fail e)
+  in
+  let same_store what m =
+    check_bool what true
+      (String.equal (stored_bytes leader_root m)
+         (stored_bytes follower_root m))
+  in
+  (* the follower is ahead on [meta]: no catch-up snapshot, a live link *)
+  wait_until "subscription" (fun () -> subscriptions () >= 1);
+  let applied0 = counter "bmf_repl_applied_total" in
+  let stale0 = counter "bmf_repl_stale_total" in
+  (* stale: the duplicate is acked, not applied *)
+  ignore (update meta ~xs:dup_xs ~f:dup_f);
+  wait_until "duplicate acked" (fun () -> follower_seq cf >= 1);
+  check_bool "duplicate counted stale" true
+    (counter "bmf_repl_stale_total" = stale0 +. 1.);
+  check_bool "duplicate not applied" true
+    (counter "bmf_repl_applied_total" = applied0);
+  check_int "duplicate keeps the link" 1 (subscriptions ());
+  same_store "duplicate: stores byte-identical" meta;
+  (* gap: the leader's [gap_meta] is three revisions past the
+     follower's, with no entries in between *)
+  ignore
+    (Serving.Store.save ~root:leader_root
+       {
+         a with
+         Serving.Artifact.meta = gap_meta;
+         rev = a.Serving.Artifact.rev + 3;
+       });
+  let xs, f = fresh_batch s ~tag:401 ~k:4 in
+  let gap_rev = update gap_meta ~xs ~f in
+  wait_until "gap repaired by snapshot" (fun () ->
+      served_rev gap_meta = gap_rev);
+  check_bool "gap not applied" true
+    (counter "bmf_repl_applied_total" = applied0);
+  check_bool "gap resubscribed" true (subscriptions () >= 2);
+  same_store "gap: stores byte-identical" gap_meta;
+  (* unknown model: the follower holds no base for [ghost_meta] *)
+  let subscribed = subscriptions () in
+  ignore
+    (Serving.Store.save ~root:leader_root
+       { a with Serving.Artifact.meta = ghost_meta });
+  let xs, f = fresh_batch s ~tag:402 ~k:4 in
+  let ghost_rev = update ghost_meta ~xs ~f in
+  wait_until "unknown model repaired by snapshot" (fun () ->
+      served_rev ghost_meta = ghost_rev);
+  check_bool "unknown model not applied" true
+    (counter "bmf_repl_applied_total" = applied0);
+  check_bool "unknown model resubscribed" true (subscriptions () > subscribed);
+  same_store "unknown model: stores byte-identical" ghost_meta;
+  (* the repaired link applies the next entry *)
+  let xs, f = fresh_batch s ~tag:403 ~k:4 in
+  let rev = update meta ~xs ~f in
+  wait_until "entry applied" (fun () -> served_rev meta = rev);
+  check_bool "next entry applied" true
+    (counter "bmf_repl_applied_total" = applied0 +. 1.);
+  same_store "after resync: stores byte-identical" meta
+
+(* ------------------------------------------------------------------ *)
 (* Distributed trace propagation + replication telemetry               *)
 
 let test_pair_trace_propagation_and_telemetry () =
@@ -668,6 +753,16 @@ let test_pair_trace_propagation_and_telemetry () =
    let xs, f = fresh_batch s ~tag:900 ~k:4 in
    ignore (ok "traced update" (Server.Client.update cl meta ~xs ~f));
    wait_until "entry applied" (fun () -> follower_seq cf >= 1);
+   (* the follower's apply telemetry counted the entry and timed it *)
+   (match Obs.Metrics.find_counter "bmf_repl_applied_total" with
+   | Some c ->
+       check_bool "applied counter moved" true
+         (Obs.Metrics.counter_value c >= 1.)
+   | None -> Alcotest.fail "bmf_repl_applied_total not registered");
+   check_bool "apply latency observed" true
+     (Obs.Metrics.histogram_count
+        (Obs.Metrics.histogram "bmf_repl_apply_seconds")
+     >= 1);
    (* calibration scored the update against the pre-update posterior on
       both replicas (leader at commit, follower at apply) *)
    let cal = Serving.Calibration.stats meta in
@@ -722,16 +817,9 @@ let () =
           Alcotest.test_case "not_leader carries the leader address" `Quick
             test_not_leader_roundtrip;
         ] );
-      ( "journal-tail",
-        [
-          Alcotest.test_case "torn final entry parks then completes" `Quick
-            test_tail_torn_final_entry;
-          Alcotest.test_case "truncation resets the tail" `Quick
-            test_tail_truncation_resets;
-        ] );
       ( "backoff",
         [
-          Alcotest.test_case "deterministic capped jittered schedule" `Quick
+          Alcotest.test_case "deterministic capped jittered sched" `Quick
             test_backoff_deterministic;
         ] );
       ( "source",
@@ -746,9 +834,11 @@ let () =
         ] );
       ( "e2e",
         [
-          Alcotest.test_case "catch-up, stream, bit-identity, promote" `Quick
+          Alcotest.test_case "catch-up, stream, bit-identity, pro" `Quick
             test_pair_catchup_stream_and_promote;
           Alcotest.test_case "trace propagation and telemetry" `Quick
             test_pair_trace_propagation_and_telemetry;
+          Alcotest.test_case "follower stale, gap, unknown model" `Quick
+            test_pair_follower_entry_rule;
         ] );
     ]

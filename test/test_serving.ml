@@ -501,6 +501,15 @@ let test_journal_roundtrip () =
   check_bool "truncate leaves no error" true (Option.is_none err);
   check_int "truncate drops entries" 0 (List.length back)
 
+let test_journal_fresh_nested_root () =
+  with_temp_root @@ fun root ->
+  (* [repro serve --dir] on a path whose parents do not exist yet *)
+  let nested = List.fold_left Filename.concat root [ "a"; "b"; "c" ] in
+  let j = Serving.Journal.open_ ~root:nested () in
+  Serving.Journal.close j;
+  check_bool "journal created under the nested root" true
+    (Sys.file_exists (Serving.Journal.file ~root:nested))
+
 let test_journal_tolerates_torn_tail () =
   let s = make_synth ~k:10 ~r:6 () in
   let entries = sample_entries s in
@@ -904,6 +913,8 @@ let () =
           Alcotest.test_case "torn tail" `Quick
             test_journal_tolerates_torn_tail;
           Alcotest.test_case "garbage" `Quick test_journal_rejects_garbage;
+          Alcotest.test_case "fresh nested root" `Quick
+            test_journal_fresh_nested_root;
         ] );
       ( "predictor",
         [

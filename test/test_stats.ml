@@ -139,55 +139,6 @@ let test_log_gamma () =
     (Special.log_gamma x +. log x)
     (Special.log_gamma (x +. 1.))
 
-(* ------------------------------------------------------------------ *)
-(* Distribution *)
-
-let test_distribution_gaussian () =
-  let d = Distribution.gaussian ~mu:2. ~sigma:3. in
-  check_float "mean" 2. (Distribution.mean d);
-  check_float "std" 3. (Distribution.std d);
-  Alcotest.(check (float 1e-12)) "cdf at mean" 0.5 (Distribution.cdf d 2.);
-  Alcotest.(check (float 1e-8)) "quantile inverse" 4.2
-    (Distribution.quantile d (Distribution.cdf d 4.2));
-  Alcotest.(check (float 1e-12)) "pdf normalization point"
-    (Special.norm_pdf 0. /. 3.)
-    (Distribution.pdf d 2.)
-
-let test_distribution_lognormal () =
-  let d = Distribution.lognormal ~mu:0. ~sigma:0.5 in
-  check_float "mean" (exp 0.125) (Distribution.mean d);
-  check_float "pdf at nonpositive" 0. (Distribution.pdf d (-1.));
-  check_float "cdf at nonpositive" 0. (Distribution.cdf d 0.);
-  let rng = Rng.create 3 in
-  let v = Array.init 50000 (fun _ -> Distribution.sample d rng) in
-  check_bool "empirical mean" true
-    (Float.abs (Describe.mean v -. Distribution.mean d) < 0.02);
-  check_bool "all positive" true (Array.for_all (fun x -> x > 0.) v)
-
-let test_distribution_uniform () =
-  let d = Distribution.uniform ~lo:(-1.) ~hi:3. in
-  check_float "mean" 1. (Distribution.mean d);
-  check_float "variance" (16. /. 12.) (Distribution.variance d);
-  check_float "cdf mid" 0.5 (Distribution.cdf d 1.);
-  check_float "quantile" (-1. +. (4. *. 0.25)) (Distribution.quantile d 0.25)
-
-let test_distribution_validation () =
-  Alcotest.check_raises "sigma"
-    (Invalid_argument "Distribution.gaussian: sigma must be > 0") (fun () ->
-      ignore (Distribution.gaussian ~mu:0. ~sigma:0.));
-  Alcotest.check_raises "bounds"
-    (Invalid_argument "Distribution.uniform: need lo < hi") (fun () ->
-      ignore (Distribution.uniform ~lo:1. ~hi:1.))
-
-let test_log_pdf_consistency () =
-  let d = Distribution.gaussian ~mu:1. ~sigma:2. in
-  List.iter
-    (fun x ->
-      Alcotest.(check (float 1e-10)) "log pdf" (log (Distribution.pdf d x))
-        (Distribution.log_pdf d x))
-    [ -3.; 0.; 1.; 4. ]
-
-
 let test_rng_uniform_bounds () =
   let rng = Rng.create 51 in
   for _ = 1 to 500 do
@@ -575,14 +526,6 @@ let () =
           Alcotest.test_case "log gamma" `Quick test_log_gamma;
           Alcotest.test_case "pdf integrates" `Quick test_norm_pdf_integrates;
           Alcotest.test_case "erf complement" `Quick test_erf_erfc_complement;
-        ] );
-      ( "distribution",
-        [
-          Alcotest.test_case "gaussian" `Quick test_distribution_gaussian;
-          Alcotest.test_case "lognormal" `Quick test_distribution_lognormal;
-          Alcotest.test_case "uniform" `Quick test_distribution_uniform;
-          Alcotest.test_case "validation" `Quick test_distribution_validation;
-          Alcotest.test_case "log pdf" `Quick test_log_pdf_consistency;
         ] );
       ( "sampling",
         [
