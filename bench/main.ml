@@ -713,11 +713,11 @@ let kernel_plane_bench (cfg : Experiments.Config.t) =
   let y = Array.make (Linalg.Mat.rows gm) 0. in
   time_per_call "gemv" (fun () -> ignore (Linalg.Mat.gemv gm x));
   time_per_call "gemv_into" (fun () -> Linalg.Mat.gemv_into gm x y);
-  (* design-matrix assembly: blocked (allocating) vs arena *)
+  (* design-matrix assembly: allocating wrapper vs arena *)
   let dst = Linalg.Mat.create batch (Polybasis.Basis.size prep.late_basis) in
   let bscratch = Polybasis.Basis.Scratch.create prep.late_basis in
-  time_per_call "design_matrix_blocked" (fun () ->
-      ignore (Polybasis.Basis.design_matrix_blocked prep.late_basis q));
+  time_per_call "design_matrix" (fun () ->
+      ignore (Polybasis.Basis.design_matrix prep.late_basis q));
   time_per_call "design_matrix_into" (fun () ->
       Polybasis.Basis.design_matrix_into prep.late_basis ~scratch:bscratch q
         ~dst);

@@ -51,6 +51,17 @@ let scale_conv =
   in
   Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
 
+(* An integer flag with an inclusive lower bound: an out-of-range value
+   is a usage error naming the flag, not an exception deep in a run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
+    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let scale_arg =
   Arg.(
     value
@@ -428,9 +439,9 @@ let describe (a : Serving.Artifact.t) =
 let fit_samples_arg =
   Arg.(
     value
-    & opt int 100
+    & opt (int_at_least 2) 100
     & info [ "k"; "samples" ] ~docv:"K"
-        ~doc:"Number of late-stage training samples.")
+        ~doc:"Number of late-stage training samples (at least 2).")
 
 (* One master stream per (seed, metric): data sampling and CV fold
    shuffling consume independent splits of it, so the shuffle stream no
@@ -793,7 +804,8 @@ let address_of socket host port =
 let queue_arg =
   Arg.(
     value
-    & opt int Server.Daemon.default_config.Server.Daemon.queue_capacity
+    & opt (int_at_least 0)
+        Server.Daemon.default_config.Server.Daemon.queue_capacity
     & info [ "queue" ] ~docv:"N"
         ~doc:
           "Bounded request-queue capacity per serving worker; a full queue \
@@ -803,7 +815,7 @@ let queue_arg =
 let max_batch_arg =
   Arg.(
     value
-    & opt int Server.Daemon.default_config.Server.Daemon.max_batch
+    & opt (int_at_least 1) Server.Daemon.default_config.Server.Daemon.max_batch
     & info [ "max-batch" ] ~docv:"N"
         ~doc:
           "Maximum query points fused into one blocked predictor call per \
@@ -845,7 +857,8 @@ let http_addr_arg =
 
 let shards_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (int_at_least 1) 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Serving workers. Every worker serves its client connections \
@@ -882,10 +895,6 @@ let run_serve verbose dir socket host port queue max_batch jobs
     durability metrics follow http shards events trace =
   Parallel.Pool.set_default_jobs (Stdlib.max 0 jobs);
   let _ = verbose in
-  if shards < 1 then begin
-    Printf.eprintf "--shards must be at least 1 (got %d)\n" shards;
-    exit 2
-  end;
   (* metrics collection is always on for the daemon: the `stats` opcode
      reports the live registry; --metrics additionally dumps it on exit *)
   Obs.Metrics.enable ();
@@ -1456,7 +1465,7 @@ let promote_cmd =
 let connections_arg =
   Arg.(
     value
-    & opt int 4
+    & opt (int_at_least 1) 4
     & info [ "connections"; "c" ] ~docv:"N"
         ~doc:"Closed-loop connections (one domain each).")
 

@@ -22,8 +22,7 @@ let m_cv_residual =
     "bmf_cv_residual_norm"
 
 let prior_residual ~g ~f ~(prior : Prior.t) =
-  if Array.for_all (fun x -> x = 0.) prior.means then f
-  else Linalg.Vec.sub f (Linalg.Mat.gemv g prior.means)
+  Map_solver.prior_residual ~g ~f ~means:prior.means
 
 let auto_grid ?(decades_below = 5) ?(decades_above = 3) ?(per_decade = 1) ~g
     ~f ~prior () =
@@ -64,42 +63,33 @@ let error_denom fv =
   if n >= rel_denom_floor then n else 1.
 
 (* Evaluate all candidates on one fold, adding each candidate's held-out
-   relative error into [err_acc]. Shared-work scheme: the fold matrix
-   B = G W^-1 G^T and residual r are computed once; each candidate then
-   costs one K x K Cholesky of (t I + B) plus two matrix-vector products,
-   using the stable dual MAP form
-     alpha = mu + W^-1 G^T (t I + B)^-1 r. *)
-let fold_errors ~(prior : Prior.t) ~gt ~ft ~gv ~fv ~candidates ~err_acc =
-  let kt = Linalg.Mat.rows gt and m = Linalg.Mat.cols gt in
-  let w_inv = Array.map (fun w -> 1. /. w) prior.weights in
-  let r = prior_residual ~g:gt ~f:ft ~prior in
-  let b = Linalg.Mat.weighted_outer_gram gt w_inv in
-  let fv_norm = error_denom fv in
-  List.iteri
-    (fun ci t ->
-      let shifted = Linalg.Mat.add_diag b (Array.make kt t) in
-      let v = Linalg.Cholesky.solve_system shifted r in
-      let gtv = Linalg.Mat.gemv_t gt v in
-      let alpha =
-        Array.init m (fun i -> prior.means.(i) +. (w_inv.(i) *. gtv.(i)))
-      in
-      let pred = Linalg.Mat.gemv gv alpha in
-      err_acc.(ci) <-
-        err_acc.(ci) +. (Linalg.Vec.dist2 pred fv /. fv_norm))
-    candidates
-
-(* Naive per-candidate fold evaluation through the requested solver —
-   used to reproduce the conventional-solver fitting cost of Fig. 5. *)
-let fold_errors_direct ~solver ~(prior : Prior.t) ~gt ~ft ~gv ~fv ~candidates
+   relative error into [err_acc]. The fast path shares work across
+   candidates: the fold matrix B = G W^-1 G^T and residual r are
+   computed once, then each candidate costs one K x K Cholesky of
+   (t I + B) in [Map_solver.woodbury]. Any other solver runs its naive
+   per-candidate solve — the conventional-solver fitting cost of
+   Fig. 5. *)
+let fold_errors ~solver ~(prior : Prior.t) ~gt ~ft ~gv ~fv ~candidates
     ~err_acc =
+  let solve =
+    match solver with
+    | Map_solver.Fast_woodbury ->
+        let w_inv = Array.map (fun w -> 1. /. w) prior.weights in
+        let r = prior_residual ~g:gt ~f:ft ~prior in
+        let core = Linalg.Mat.weighted_outer_gram gt w_inv in
+        fun t ->
+          fst
+            (Map_solver.woodbury ~g:gt ~w_inv ~means:prior.means ~core ~r
+               ~hyper:t)
+    | Map_solver.Direct_cholesky ->
+        fun t ->
+          Map_solver.solve_raw ~solver ~g:gt ~f:ft ~weights:prior.weights
+            ~means:prior.means ~hyper:t
+  in
   let fv_norm = error_denom fv in
   List.iteri
     (fun ci t ->
-      let alpha =
-        Map_solver.solve_raw ~solver ~g:gt ~f:ft ~weights:prior.weights
-          ~means:prior.means ~hyper:t
-      in
-      let pred = Linalg.Mat.gemv gv alpha in
+      let pred = Linalg.Mat.gemv gv (solve t) in
       err_acc.(ci) <-
         err_acc.(ci) +. (Linalg.Vec.dist2 pred fv /. fv_norm))
     candidates
@@ -114,6 +104,7 @@ let cv_errors ?rng ?(solver = Map_solver.Fast_woodbury) ~folds ~g ~f ~prior
         invalid_arg "Hyper.cv_errors: candidates must be positive")
     candidates;
   let k = Linalg.Mat.rows g in
+  if k < 2 then invalid_arg "Hyper.cv_errors: need at least 2 samples";
   if Prior.size prior <> Linalg.Mat.cols g then
     invalid_arg "Hyper.cv_errors: prior size mismatch";
   let folds = Stdlib.min folds k in
@@ -142,12 +133,7 @@ let cv_errors ?rng ?(solver = Map_solver.Fast_woodbury) ~folds ~g ~f ~prior
     let gt = submatrix_rows g train and ft = subvector f train in
     let gv = submatrix_rows g test and fv = subvector f test in
     let err_acc = Array.make n_cand 0. in
-    (match solver with
-    | Map_solver.Fast_woodbury ->
-        fold_errors ~prior ~gt ~ft ~gv ~fv ~candidates ~err_acc
-    | Map_solver.Direct_cholesky ->
-        fold_errors_direct ~solver ~prior ~gt ~ft ~gv ~fv ~candidates
-          ~err_acc);
+    fold_errors ~solver ~prior ~gt ~ft ~gv ~fv ~candidates ~err_acc;
     err_acc
   in
   let per_fold =

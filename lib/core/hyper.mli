@@ -54,7 +54,8 @@ val cv_errors :
     [Direct_cholesky] re-solves the full M x M system per fold and
     candidate — the "conventional solver" cost the paper benchmarks
     against in Fig. 5.
-    @raise Invalid_argument when [folds < 2] or [candidates = []]. *)
+    @raise Invalid_argument when [folds < 2], [g] has fewer than 2 rows
+    or [candidates = []]. *)
 
 val select :
   ?rng:Stats.Rng.t ->

@@ -75,31 +75,41 @@ let solve_direct ~g ~f ~weights ~means ~hyper =
   let gamma = Linalg.Cholesky.solve fact rhs in
   Array.init m (fun i -> means.(i) +. (s.(i) *. gamma.(i)))
 
+(* alpha = mu + W^-1 G^T v: the dual form's map from the K-dimensional
+   solve back to coefficient space. *)
+let dual_coeffs ~g ~w_inv ~means v =
+  let gtv = Linalg.Mat.gemv_t g v in
+  Array.init (Array.length means) (fun i ->
+      means.(i) +. (w_inv.(i) *. gtv.(i)))
+
+let woodbury ~g ~w_inv ~means ~core ~r ~hyper =
+  let k = Linalg.Mat.rows g in
+  let fact =
+    Linalg.Cholesky.factorize (Linalg.Mat.add_diag core (Array.make k hyper))
+  in
+  (dual_coeffs ~g ~w_inv ~means (Linalg.Cholesky.solve fact r), fact)
+
 (* Fast path (eq. 53-58): the paper's low-rank identity, in the stable
    dual form
      alpha = mu + W^-1 G^T (t I + G W^-1 G^T)^-1 (f - G mu)
    with a single K x K Cholesky solve. Exact — tests assert agreement
    with the direct path to roundoff. *)
 let solve_fast ~g ~f ~weights ~means ~hyper =
-  let k, m = Linalg.Mat.dims g in
   let r = prior_residual ~g ~f ~means in
   let w_inv = Array.map (fun w -> 1. /. w) weights in
   let core = Linalg.Mat.weighted_outer_gram g w_inv in
-  let shifted = Linalg.Mat.add_diag core (Array.make k hyper) in
-  let fact = Linalg.Cholesky.factorize shifted in
+  let ((_, fact) as solved) = woodbury ~g ~w_inv ~means ~core ~r ~hyper in
   if Obs.live () then begin
     last_cond := Linalg.Cholesky.cond_estimate fact;
     Obs.Metrics.set m_woodbury_cond !last_cond;
     Obs.Metrics.set m_pivot_min (fst (Linalg.Cholesky.pivot_extrema fact))
   end;
-  let v = Linalg.Cholesky.solve fact r in
-  let gtv = Linalg.Mat.gemv_t g v in
-  Array.init m (fun i -> means.(i) +. (w_inv.(i) *. gtv.(i)))
+  solved
 
 let dispatch ~solver ~g ~f ~weights ~means ~hyper =
   match solver with
   | Direct_cholesky -> solve_direct ~g ~f ~weights ~means ~hyper
-  | Fast_woodbury -> solve_fast ~g ~f ~weights ~means ~hyper
+  | Fast_woodbury -> fst (solve_fast ~g ~f ~weights ~means ~hyper)
 
 let solve_raw ~solver ~g ~f ~weights ~means ~hyper =
   check ~g ~f ~weights ~means ~hyper;

@@ -17,7 +17,11 @@
     - [Fast_woodbury]: the paper's low-rank fast solver (eq. 53-58),
       exact, with a K x K core solve.
 
-    Both return identical answers to roundoff; tests assert this. *)
+    Both return identical answers to roundoff; tests assert this.
+
+    The fast path's dual form [alpha = mu + W^-1 G^T v] is written once,
+    in {!dual_coeffs}; the artifact build, the CV fold sweep and the
+    incremental updater all reach it through this module. *)
 
 type solver = Direct_cholesky | Fast_woodbury
 
@@ -46,3 +50,40 @@ val solve_raw :
   Linalg.Vec.t
 (** Same computation on raw (weights, means) vectors, for callers that
     bypass [Prior] (e.g. hyper-parameter sweeps that share work). *)
+
+val prior_residual :
+  g:Linalg.Mat.t -> f:Linalg.Vec.t -> means:Linalg.Vec.t -> Linalg.Vec.t
+(** [f - G mu]; [f] itself when [mu = 0]. *)
+
+val dual_coeffs :
+  g:Linalg.Mat.t ->
+  w_inv:Linalg.Vec.t ->
+  means:Linalg.Vec.t ->
+  Linalg.Vec.t ->
+  Linalg.Vec.t
+(** [dual_coeffs ~g ~w_inv ~means v] is [mu + W^-1 G^T v], mapping the
+    solution [v] of the K x K core system back to coefficient space. *)
+
+val woodbury :
+  g:Linalg.Mat.t ->
+  w_inv:Linalg.Vec.t ->
+  means:Linalg.Vec.t ->
+  core:Linalg.Mat.t ->
+  r:Linalg.Vec.t ->
+  hyper:float ->
+  Linalg.Vec.t * Linalg.Cholesky.t
+(** The Woodbury solve against a precomputed core [B = G W^-1 G^T]:
+    factors [C = hyper I + B] and returns [dual_coeffs (C^-1 r)] with the
+    factor of [C]. Callers sweeping [hyper] share one [B]. Unchecked. *)
+
+val solve_fast :
+  g:Linalg.Mat.t ->
+  f:Linalg.Vec.t ->
+  weights:Linalg.Vec.t ->
+  means:Linalg.Vec.t ->
+  hyper:float ->
+  Linalg.Vec.t * Linalg.Cholesky.t
+(** The [Fast_woodbury] path of {!solve_raw} without its checks and
+    span: the MAP coefficients and the Cholesky factor of
+    [hyper I + G W^-1 G^T], which [Serving.Artifact] stores as the
+    posterior core. Sets the conditioning gauges when a sink is live. *)

@@ -66,11 +66,6 @@ let of_arrays rows_arr =
     init r c (fun i j -> rows_arr.(i).(j))
   end
 
-let to_arrays a =
-  Array.init a.rows (fun i ->
-      let base = i * a.cols in
-      Array.init a.cols (fun j -> uget a.data (base + j)))
-
 let of_rows rows_list = of_arrays (Array.of_list rows_list)
 
 (* [copy] walks exactly [rows * cols] entries so that copying a

@@ -30,8 +30,6 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** Builds from an array of rows; all rows must have equal length. *)
 
-val to_arrays : t -> float array array
-
 val of_rows : Vec.t list -> t
 
 val copy : t -> t

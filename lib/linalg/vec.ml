@@ -68,8 +68,6 @@ let norm_inf x =
   done;
   !acc
 
-let asum = norm1
-
 let scale a v = Array.map (fun x -> a *. x) v
 
 let scale_inplace a v =
@@ -89,8 +87,6 @@ let add x y = map2 ( +. ) x y
 let sub x y = map2 ( -. ) x y
 
 let mul x y = map2 ( *. ) x y
-
-let div x y = map2 ( /. ) x y
 
 (* In-place twins with preallocated destinations; same element order as
    the allocating versions, so results are bit-identical. [dst] may

@@ -42,9 +42,6 @@ val norm1 : t -> float
 val norm_inf : t -> float
 (** Maximum absolute value; [0.] for the empty vector. *)
 
-val asum : t -> float
-(** Alias of {!norm1} (BLAS naming). *)
-
 val scale : float -> t -> t
 (** [scale a v] is a fresh vector [a*v]. *)
 
@@ -58,9 +55,6 @@ val sub : t -> t -> t
 
 val mul : t -> t -> t
 (** Elementwise (Hadamard) product. *)
-
-val div : t -> t -> t
-(** Elementwise quotient. *)
 
 val add_into : t -> t -> t -> unit
 (** [add_into x y dst] writes [x + y] into preallocated [dst] (which may

@@ -260,8 +260,6 @@ let histogram_sum m = match m.payload with Hist h -> h.sum | _ -> 0.
 
 let histogram_count m = match m.payload with Hist h -> h.count | _ -> 0
 
-let metric_labels m = m.labels
-
 let find ?(labels = []) name =
   Hashtbl.find_opt registry (series_key name (canonical_labels name labels))
 

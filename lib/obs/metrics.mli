@@ -92,10 +92,6 @@ val histogram_sum : histogram -> float
 
 val histogram_count : histogram -> int
 
-val metric_labels : counter -> (string * string) list
-(** The series' labels in canonical (sorted) order. [counter], [gauge]
-    and [histogram] are the same underlying type, so this works on any
-    of them. *)
 
 val find_gauge : ?labels:(string * string) list -> string -> gauge option
 (** Look up one series; [labels] defaults to the unlabeled series. *)

@@ -153,8 +153,6 @@ let dummy =
 
 let set_attr sp key v = if sp.live then sp.attrs <- (key, v) :: sp.attrs
 
-let span_trace sp = sp.trace
-
 let span_id sp = sp.id
 
 (* [?trace]/[?parent] inject a remote context (a client span carried in

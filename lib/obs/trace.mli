@@ -76,9 +76,6 @@ val with_span :
 val set_attr : span -> string -> value -> unit
 (** Attach an attribute to an open span; no-op on the dummy span. *)
 
-val span_trace : span -> int
-(** The span's distributed trace id (0 on the dummy span). *)
-
 val span_id : span -> int
 
 val current : unit -> (int * int) option

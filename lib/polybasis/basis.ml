@@ -58,51 +58,6 @@ let index_of_term b t =
     b.terms;
   !found
 
-let eval_term_on term x =
-  let acc = ref 1. in
-  Array.iter
-    (fun (v, d) -> acc := !acc *. Hermite.normalized d x.(v))
-    term;
-  !acc
-
-let eval_term b m x =
-  if Array.length x <> b.dim then invalid_arg "Basis.eval_term: bad point";
-  eval_term_on (term b m) x
-
-(* Evaluating a row: precompute normalized Hermite values for every
-   variable up to the max degree only when degree > 1; for the common
-   linear case we avoid all the machinery. *)
-let eval_row b x =
-  if Array.length x <> b.dim then invalid_arg "Basis.eval_row: bad point";
-  if b.max_degree <= 1 then
-    Array.map
-      (fun term ->
-        match Array.length term with
-        | 0 -> 1.
-        | _ ->
-            let acc = ref 1. in
-            Array.iter (fun (v, _) -> acc := !acc *. x.(v)) term;
-            !acc)
-      b.terms
-  else begin
-    (* cache per-variable Hermite columns lazily *)
-    let cache = Hashtbl.create 64 in
-    let herm v =
-      match Hashtbl.find_opt cache v with
-      | Some arr -> arr
-      | None ->
-          let arr = Hermite.normalized_upto b.max_degree x.(v) in
-          Hashtbl.add cache v arr;
-          arr
-    in
-    Array.map
-      (fun term ->
-        let acc = ref 1. in
-        Array.iter (fun (v, d) -> acc := !acc *. (herm v).(d)) term;
-        !acc)
-      b.terms
-  end
-
 let m_design_seconds =
   Obs.Metrics.histogram ~help:"Design-matrix evaluation latency (seconds)"
     "bmf_design_matrix_seconds"
@@ -111,12 +66,12 @@ let m_design_rows =
   Obs.Metrics.counter ~help:"Design-matrix rows evaluated"
     "bmf_design_matrix_rows_total"
 
-(* Span + latency wrapper shared by both evaluation strategies; the
-   instrumented path runs the same loop, only bracketed by clock reads. *)
-let observed name b ~rows impl =
+(* Span + latency bracket; the instrumented path runs the same loop,
+   only bracketed by clock reads. *)
+let observed b ~rows impl =
   if not (Obs.live ()) then impl ()
   else
-    Obs.Trace.with_span ~cat:"polybasis" name (fun sp ->
+    Obs.Trace.with_span ~cat:"polybasis" "design_matrix_into" (fun sp ->
         Obs.Trace.set_attr sp "rows" (Obs.Trace.Int rows);
         Obs.Trace.set_attr sp "terms" (Obs.Trace.Int (size b));
         Obs.Trace.set_attr sp "max_degree" (Obs.Trace.Int b.max_degree);
@@ -125,95 +80,6 @@ let observed name b ~rows impl =
         Obs.Metrics.observe m_design_seconds (Obs.Clock.now_s () -. t0);
         Obs.Metrics.inc ~by:(float_of_int rows) m_design_rows;
         g)
-
-(* Minimum rows per domain before sharding pays for the task handoff. *)
-let parallel_grain = 32
-
-let design_matrix b xs =
-  let k, r = Linalg.Mat.dims xs in
-  if r <> b.dim then invalid_arg "Basis.design_matrix: dimension mismatch";
-  observed "design_matrix" b ~rows:k (fun () ->
-      let m = size b in
-      let g = Linalg.Mat.create k m in
-      (* Rows are independent and land in disjoint slices of the output,
-         so sharding the row range across domains is bit-identical to
-         the sequential loop. *)
-      Parallel.Pool.parallel_chunks ~grain:parallel_grain ~n:k
-        (fun ~lo ~hi ->
-          for i = lo to hi - 1 do
-            Linalg.Mat.set_row g i (eval_row b (Linalg.Mat.row xs i))
-          done);
-      g)
-
-(* Batch evaluation that amortizes the Hermite recurrences: the per-
-   variable tables are computed once for the whole sample block instead
-   of once per row (eval_row re-derives them behind a hashtable on every
-   call). Values are identical to [design_matrix] — the same recurrence
-   runs in the same order — only the bookkeeping differs. *)
-let design_matrix_blocked b xs =
-  let k, r = Linalg.Mat.dims xs in
-  if r <> b.dim then
-    invalid_arg "Basis.design_matrix_blocked: dimension mismatch";
-  observed "design_matrix_blocked" b ~rows:k @@ fun () ->
-  let m = size b in
-  let g = Linalg.Mat.create k m in
-  if b.max_degree <= 1 then
-    Parallel.Pool.parallel_chunks ~grain:parallel_grain ~n:k (fun ~lo ~hi ->
-        for i = lo to hi - 1 do
-          for j = 0 to m - 1 do
-            let term = b.terms.(j) in
-            let acc = ref 1. in
-            Array.iter
-              (fun (v, _) -> acc := !acc *. Linalg.Mat.get xs i v)
-              term;
-            Linalg.Mat.set g i j !acc
-          done
-        done)
-  else begin
-    (* highest degree needed per variable, across all terms *)
-    let need = Array.make b.dim 0 in
-    Array.iter
-      (fun term ->
-        Array.iter (fun (v, d) -> need.(v) <- Stdlib.max need.(v) d) term)
-      b.terms;
-    (* Hermite tables for variables used beyond degree 1; degree-1-only
-       variables read the sample matrix directly. Both the table fill
-       and the assembly shard by rows: every domain writes its own row
-       range only, so parallel output is bit-identical. *)
-    let tables =
-      Array.init b.dim (fun v ->
-          if need.(v) >= 2 then Some (Array.make k [||]) else None)
-    in
-    Parallel.Pool.parallel_chunks ~grain:parallel_grain ~n:k (fun ~lo ~hi ->
-        for i = lo to hi - 1 do
-          Array.iteri
-            (fun v table ->
-              match table with
-              | Some rows ->
-                  rows.(i) <-
-                    Hermite.normalized_upto need.(v) (Linalg.Mat.get xs i v)
-              | None -> ())
-            tables
-        done);
-    Parallel.Pool.parallel_chunks ~grain:parallel_grain ~n:k (fun ~lo ~hi ->
-        for i = lo to hi - 1 do
-          for j = 0 to m - 1 do
-            let term = b.terms.(j) in
-            let acc = ref 1. in
-            Array.iter
-              (fun (v, d) ->
-                let value =
-                  match tables.(v) with
-                  | Some rows -> rows.(i).(d)
-                  | None -> Linalg.Mat.get xs i v
-                in
-                acc := !acc *. value)
-              term;
-            Linalg.Mat.set g i j !acc
-          done
-        done)
-  end;
-  g
 
 (* Preallocated per-evaluator state for [design_matrix_into]: the
    per-variable degree requirements and one Hermite table per variable
@@ -239,16 +105,12 @@ module Scratch = struct
           if need.(v) >= 2 then Some (Array.make (need.(v) + 1) 1.) else None)
     in
     { basis = b; need; herm }
-
-  let basis s = s.basis
 end
 
-(* Allocation-free twin of [design_matrix_blocked]: evaluates the basis
-   on [xs] straight into the preallocated [dst]. Runs sequentially in
-   the calling domain (the serving plane already shards across worker
-   domains) and refills the scratch Hermite tables per row; every term
-   is the same left-to-right product of the same table entries the
-   blocked evaluator computes, so the output is bit-identical. *)
+(* The one basis evaluator: writes the basis on [xs] straight into the
+   preallocated [dst]. Runs sequentially in the calling domain and
+   refills the scratch Hermite tables per row; every term is the
+   left-to-right product of its factors' normalized Hermite values. *)
 let design_matrix_into b ~scratch xs ~dst =
   if not (scratch.Scratch.basis == b) then
     invalid_arg "Basis.design_matrix_into: scratch built for another basis";
@@ -259,12 +121,11 @@ let design_matrix_into b ~scratch xs ~dst =
   let dk, dm = Linalg.Mat.dims dst in
   if dk <> k || dm <> m then
     invalid_arg "Basis.design_matrix_into: destination shape mismatch";
-  observed "design_matrix_into" b ~rows:k @@ fun () ->
+  observed b ~rows:k @@ fun () ->
   (* Work straight on the Bigarray storage with unboxed loads/stores,
      accumulating each term's product in its destination cell — under
      vanilla ocamlopt a [float ref] accumulator (and any cross-module
-     get/set) would box a float per factor. Bounds were checked above;
-     the product order is exactly the blocked evaluator's. *)
+     get/set) would box a float per factor. Bounds were checked above. *)
   let module A = Bigarray.Array1 in
   let xd = Linalg.Mat.data xs in
   let dd = Linalg.Mat.data dst in
@@ -312,14 +173,29 @@ let design_matrix_into b ~scratch xs ~dst =
     done
   end
 
-let predict b ~coeffs x =
+let design_matrix b xs =
+  let k, r = Linalg.Mat.dims xs in
+  if r <> b.dim then invalid_arg "Basis.design_matrix: dimension mismatch";
+  let dst = Linalg.Mat.create k (size b) in
+  design_matrix_into b ~scratch:(Scratch.create b) xs ~dst;
+  dst
+
+let eval_row b x =
+  if Array.length x <> b.dim then invalid_arg "Basis.eval_row: bad point";
+  let xs = Linalg.Mat.of_flat ~rows:1 ~cols:b.dim x in
+  Linalg.Mat.to_flat (design_matrix b xs)
+
+let check_coeffs b coeffs =
   if Array.length coeffs <> size b then
-    invalid_arg "Basis.predict: coefficient length mismatch";
+    invalid_arg "Basis.predict: coefficient length mismatch"
+
+let predict b ~coeffs x =
+  check_coeffs b coeffs;
   Linalg.Vec.dot coeffs (eval_row b x)
 
 let predict_many b ~coeffs xs =
-  let k = Linalg.Mat.rows xs in
-  Array.init k (fun i -> predict b ~coeffs (Linalg.Mat.row xs i))
+  check_coeffs b coeffs;
+  Linalg.Mat.gemv (design_matrix b xs) coeffs
 
 let extend b new_terms =
   let existing = Array.to_list b.terms in

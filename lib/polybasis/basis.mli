@@ -3,7 +3,11 @@
     A basis is an ordered set of multivariate orthonormal Hermite terms
     [{g_m}]; evaluating it on a sample matrix yields the design matrix [G]
     of eq. 9. By construction E[g_i(X) g_j(X)] = delta_ij for
-    X ~ N(0, I), which tests verify by Monte Carlo. *)
+    X ~ N(0, I), which tests verify by Monte Carlo.
+
+    There is one evaluator, {!design_matrix_into}; {!design_matrix},
+    {!eval_row}, {!predict} and {!predict_many} allocate and call it.
+    It runs sequentially in the calling domain. *)
 
 type t
 
@@ -37,21 +41,12 @@ val terms : t -> Multi_index.t array
 val index_of_term : t -> Multi_index.t -> int option
 (** Position of a term in this basis, if present. *)
 
-val eval_term : t -> int -> Linalg.Vec.t -> float
-(** [eval_term b m x] is [g_m(x)]. *)
-
 val eval_row : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** All [M] basis functions at one point — one row of [G]. *)
 
 val design_matrix : t -> Linalg.Mat.t -> Linalg.Mat.t
 (** [design_matrix b xs] maps a [k] x [r] sample matrix to the [k] x [M]
     matrix [G] with [G_km = g_m(x^(k))] (eq. 9). *)
-
-val design_matrix_blocked : t -> Linalg.Mat.t -> Linalg.Mat.t
-(** Same result as {!design_matrix}, computed with the Hermite
-    recurrences amortized across the whole sample block instead of
-    re-derived per row. Preferred on the batch-serving path where one
-    basis is evaluated on many query points at once. *)
 
 (** Reusable evaluation state for {!design_matrix_into}: per-variable
     degree requirements plus one Hermite table per variable needing
@@ -64,17 +59,14 @@ module Scratch : sig
   type t
 
   val create : basis -> t
-
-  val basis : t -> basis
-  (** The basis this scratch was built for. *)
 end
 
 val design_matrix_into : t -> scratch:Scratch.t -> Linalg.Mat.t -> dst:Linalg.Mat.t -> unit
 (** [design_matrix_into b ~scratch xs ~dst] evaluates the basis on the
     [k] x [r] sample matrix [xs] into the preallocated [k] x [M]
-    destination. Output is bit-identical to {!design_matrix_blocked}
-    (same recurrences and product order), with zero float-array
-    allocation in steady state. Runs sequentially in the calling domain.
+    destination, with zero float-array allocation in steady state.
+    Each entry is the left-to-right product of its factors' normalized
+    Hermite values (the recurrence of {!Hermite.normalized_upto_into}).
     @raise Invalid_argument on shape mismatch or if [scratch] was built
     for a different basis value. *)
 

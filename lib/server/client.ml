@@ -99,15 +99,6 @@ let reconnect t =
   t.closed <- false;
   Replication.Backoff.reset t.backoff
 
-let with_reconnect ?(retries = 3) t f =
-  let rec go tries =
-    try f t
-    with Transport _ when tries > 0 ->
-      reconnect t;
-      go (tries - 1)
-  in
-  go (Stdlib.max 0 retries)
-
 let send_all t s =
   let n = String.length s in
   let at = ref 0 in

@@ -38,12 +38,6 @@ val reconnect : t -> unit
     backoff policy; a successful reconnect rearms it.
     @raise Transport when the attempts are exhausted. *)
 
-val with_reconnect : ?retries:int -> t -> (t -> 'a) -> 'a
-(** [with_reconnect t f] runs [f t], transparently {!reconnect}ing and
-    retrying up to [retries] (default 3) times when [f] raises
-    {!Transport}. Loadgen workers and the CLI wrap their calls in this
-    so a daemon blip costs a retry, not the run. *)
-
 val ping : t -> (unit, Wire.error) result
 
 val predict :

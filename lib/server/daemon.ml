@@ -78,9 +78,6 @@ type config = {
   http : address option;
       (* scrape endpoint (GET /metrics, /health, /ready, /events) served
          from a second listener in the same select loop *)
-  slow_request_s : float;
-      (* requests slower than this (admission to reply) emit a
-         [slow_request] event when the event log is enabled *)
   shards : int;
       (* serving workers: 1 runs one worker inline on the writer's
          domain (no domains spawned); N >= 2 spawns N worker domains *)
@@ -91,8 +88,11 @@ type config = {
 
 let default_config =
   { queue_capacity = 256; max_batch = 4096; batch_delay_s = 0.;
-    durability = `Durable; http = None; slow_request_s = 0.25; shards = 1;
-    http_idle_s = 5. }
+    durability = `Durable; http = None; shards = 1; http_idle_s = 5. }
+
+(* Requests slower than this (admission to reply) emit a [slow_request]
+   event when the event log is enabled. *)
+let slow_request_s = 0.25
 
 (* ------------------------------------------------------------------ *)
 (* Metrics.                                                            *)
@@ -424,7 +424,6 @@ type t = {
   served : int Atomic.t;  (* requests received, any outcome, any worker *)
   conn_count : int Atomic.t;  (* open connections across all domains *)
   scratch : Bytes.t;  (* the writer's read buffer *)
-  started_s : float;  (* wall clock, human-facing only *)
   started_mono : float;  (* monotonic, for uptime *)
   mutable stopped_mono : float;  (* monotonic instant [stop] was first seen *)
   journal : Serving.Journal.t;
@@ -478,8 +477,6 @@ let role t =
 let journal_seq t = Atomic.get t.commit_seq
 
 let recovery t = t.recovery
-
-let started_s t = t.started_s
 
 let stopping t = Atomic.get t.stop_flag
 
@@ -607,7 +604,6 @@ let create ?(config = default_config) ?follow ~root addr =
     served = Atomic.make 0;
     conn_count = Atomic.make 0;
     scratch = Bytes.create 65536;
-    started_s = Unix.gettimeofday ();
     started_mono = Obs.Clock.now_s ();
     stopped_mono = nan;
     journal;
@@ -821,7 +817,7 @@ let flush_conn t conn =
 (* Monotonic: admission stamps, deadline expiry, uptime and drain grace
    must not move when NTP steps the wall clock — a step backwards would
    freeze expiry, a step forwards would mass-expire every queued
-   request. Wall time ([t.started_s]) is kept for display only. *)
+   request. *)
 let now_s () = Obs.Clock.now_s ()
 
 let model_infos t =
@@ -1637,7 +1633,7 @@ let complete t (p : pending) resp =
   in
   if
     Obs.Events.enabled ()
-    && done_s -. p.admitted_s > t.config.slow_request_s
+    && done_s -. p.admitted_s > slow_request_s
   then
     Obs.Events.emit "slow_request"
       ~fields:

@@ -114,9 +114,6 @@ type config = {
           until ready — a follower is ready once its initial catch-up
           completed) and [GET /events] (the {!Obs.Events} ring).
           [None] (the default): no HTTP listener. *)
-  slow_request_s : float;
-      (** Requests slower than this (admission to reply) emit a
-          [slow_request] event when the {!Obs.Events} log is on. *)
   shards : int;
       (** Serving workers (>= 1). [1]: one worker runs inline on the
           domain that calls {!run}, no domains spawned. [N >= 2]: {!run}
@@ -135,8 +132,9 @@ type config = {
 
 val default_config : config
 (** [{ queue_capacity = 256; max_batch = 4096; batch_delay_s = 0.;
-      durability = `Durable; http = None; slow_request_s = 0.25;
-      shards = 1; http_idle_s = 5. }] *)
+      durability = `Durable; http = None; shards = 1; http_idle_s = 5. }]
+    Requests slower than 0.25 s (admission to reply) emit a
+    [slow_request] event when the {!Obs.Events} log is on. *)
 
 type t
 
@@ -166,11 +164,6 @@ val role : t -> [ `Leader | `Follower of address ]
 val journal_seq : t -> int
 (** Leader: updates committed since start. Follower: last leader commit
     sequence durably applied or subsumed by a catch-up snapshot. *)
-
-val started_s : t -> float
-(** Wall-clock start time (seconds since the epoch) — human-facing
-    display only. All internal timing (deadlines, drain grace, uptime)
-    runs on the monotonic {!Obs.Clock} and is immune to NTP steps. *)
 
 val recovery : t -> Serving.Recovery.report
 (** What {!create}'s recovery pass found and replayed (also surfaced as

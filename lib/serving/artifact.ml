@@ -50,12 +50,12 @@ let fingerprint values =
   checksum_hex (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
-(* Capture a fit. The MAP solve below replays Map_solver's fast path
-   operation for operation, so the stored coefficients are bit-identical
-   to what [Map_solver.solve ~solver:Fast_woodbury] returns — and the
-   K x K Cholesky factor of [hyper I + G W^-1 G^T] is kept: it is the
-   posterior core reused by the predictor (predictive variance) and the
-   incremental updater (rank-1 extension). *)
+(* Capture a fit. The MAP solve is Map_solver's fast path, so the stored
+   coefficients are what [Map_solver.solve ~solver:Fast_woodbury]
+   returns — and the K x K Cholesky factor of [hyper I + G W^-1 G^T] it
+   hands back is kept: it is the posterior core reused by the predictor
+   (predictive variance) and the incremental updater (rank-1
+   extension). *)
 
 let of_fit ~meta ?(rev = 0) ~basis ~prior ~hyper ?(cv_error = nan) ~g ~f () =
   let k, m = Linalg.Mat.dims g in
@@ -67,22 +67,10 @@ let of_fit ~meta ?(rev = 0) ~basis ~prior ~hyper ?(cv_error = nan) ~g ~f () =
     invalid_arg "Artifact.of_fit: sample count mismatch";
   if hyper <= 0. || not (Float.is_finite hyper) then
     invalid_arg "Artifact.of_fit: hyper must be positive and finite";
-  let means = prior.Bmf.Prior.means and weights = prior.Bmf.Prior.weights in
-  let w_inv = Array.map (fun w -> 1. /. w) weights in
-  let r =
-    if Array.for_all (fun x -> x = 0.) means then f
-    else Linalg.Vec.sub f (Linalg.Mat.gemv g means)
+  let coeffs, fact =
+    Bmf.Map_solver.solve_fast ~g ~f ~weights:prior.Bmf.Prior.weights
+      ~means:prior.Bmf.Prior.means ~hyper
   in
-  let core = Linalg.Mat.weighted_outer_gram g w_inv in
-  let shifted = Linalg.Mat.add_diag core (Array.make k hyper) in
-  let fact = Linalg.Cholesky.factorize shifted in
-  (match Obs.Metrics.find_gauge "bmf_fit_woodbury_cond" with
-  | Some gauge when Obs.live () ->
-      Obs.Metrics.set gauge (Linalg.Cholesky.cond_estimate fact)
-  | _ -> ());
-  let v = Linalg.Cholesky.solve fact r in
-  let gtv = Linalg.Mat.gemv_t g v in
-  let coeffs = Array.init m (fun i -> means.(i) +. (w_inv.(i) *. gtv.(i))) in
   let resid = Linalg.Vec.sub f (Linalg.Mat.gemv g coeffs) in
   let sigma0_sq =
     Float.max 1e-300

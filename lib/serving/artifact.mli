@@ -48,9 +48,9 @@ val of_fit :
   f:Linalg.Vec.t ->
   unit ->
   t
-(** Captures a fit from its raw ingredients. The MAP solve replays
-    [Map_solver]'s fast path operation for operation, so [coeffs] is
-    bit-identical to [Map_solver.solve ~solver:Fast_woodbury].
+(** Captures a fit from its raw ingredients. The MAP solve is
+    [Bmf.Map_solver.solve_fast], so [coeffs] is bit-identical to
+    [Map_solver.solve ~solver:Fast_woodbury] and [chol] is its factor.
     @raise Invalid_argument on dimension mismatches or [hyper <= 0]. *)
 
 val basis : t -> Polybasis.Basis.t

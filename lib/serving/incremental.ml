@@ -17,7 +17,10 @@
    lower triangle (cap x cap); only the first [k] rows are live. The
    bordering arithmetic reads them through the same row-major order the
    ragged float-array representation used, so update trajectories are
-   bit-identical to it. *)
+   bit-identical to it. Coefficients come from the fit's own code:
+   [Linalg.Cholesky.solve] on the live k x k factor, then
+   [Bmf.Map_solver.dual_coeffs]; new basis rows from
+   [Polybasis.Basis.design_matrix]. *)
 
 type t = {
   meta : Artifact.meta;
@@ -57,6 +60,14 @@ let m_pivot_min =
     ~help:"Smallest new Cholesky pivot across the last incremental batch"
     "bmf_incremental_pivot_min"
 
+(* Copy the leading k x k lower triangle of [src] into [dst]. *)
+let blit_lower ~src ~dst k =
+  for i = 0 to k - 1 do
+    for j = 0 to i do
+      Linalg.Mat.set dst i j (Linalg.Mat.get src i j)
+    done
+  done
+
 let of_artifact (a : Artifact.t) =
   let k = Artifact.num_samples a in
   let m = Linalg.Mat.cols a.Artifact.g in
@@ -65,11 +76,7 @@ let of_artifact (a : Artifact.t) =
   let g = Linalg.Mat.create cap m in
   Linalg.Mat.blit_rows ~src:a.Artifact.g ~dst:g ~dst_row:0;
   let l = Linalg.Mat.create cap cap in
-  for i = 0 to k - 1 do
-    for j = 0 to i do
-      Linalg.Mat.set l i j (Linalg.Mat.get a.Artifact.chol i j)
-    done
-  done;
+  blit_lower ~src:a.Artifact.chol ~dst:l k;
   let resid =
     Array.init k (fun i ->
         a.Artifact.f.(i) -. Linalg.Mat.row_dot a.Artifact.g i means)
@@ -103,11 +110,7 @@ let grow t =
   let g = Linalg.Mat.create cap m in
   Linalg.Mat.blit_rows ~src:(Linalg.Mat.view_rows t.g t.k) ~dst:g ~dst_row:0;
   let l = Linalg.Mat.create cap cap in
-  for i = 0 to t.k - 1 do
-    for j = 0 to i do
-      Linalg.Mat.set l i j (Linalg.Mat.get t.l i j)
-    done
-  done;
+  blit_lower ~src:t.l ~dst:l t.k;
   let f = Array.make cap 0. in
   Array.blit t.f 0 f 0 t.k;
   let resid = Array.make cap 0. in
@@ -159,7 +162,7 @@ let add_batch t ~xs ~f =
   if Array.length f <> n then
     invalid_arg "Incremental.add_batch: sample count mismatch";
   if not (Obs.live ()) then begin
-    let gq = Polybasis.Basis.design_matrix_blocked t.basis xs in
+    let gq = Polybasis.Basis.design_matrix t.basis xs in
     for i = 0 to n - 1 do
       add_row t ~row:(Linalg.Mat.row gq i) ~value:f.(i)
     done
@@ -169,7 +172,7 @@ let add_batch t ~xs ~f =
     Obs.Trace.set_attr sp "new_samples" (Obs.Trace.Int n);
     Obs.Trace.set_attr sp "samples_before" (Obs.Trace.Int t.k);
     let t0 = Obs.Clock.now_s () in
-    let gq = Polybasis.Basis.design_matrix_blocked t.basis xs in
+    let gq = Polybasis.Basis.design_matrix t.basis xs in
     let k0 = t.k in
     for i = 0 to n - 1 do
       add_row t ~row:(Linalg.Mat.row gq i) ~value:f.(i)
@@ -189,49 +192,32 @@ let add_batch t ~xs ~f =
       Obs.Trace.set_attr sp "pivot_min" (Obs.Trace.Float !mn)
     end
 
-(* Solve C v = resid through the growing factor, then map back to the
+(* The live k x k factor of C, compacted out of the capacity-sized
+   storage. *)
+let factor t =
+  let chol = Linalg.Mat.create t.k t.k in
+  blit_lower ~src:t.l ~dst:chol t.k;
+  chol
+
+(* Solve C v = resid through the factor, then map back to the
    coefficient space: alpha = mu + W^-1 G^T v. *)
-let coeffs t =
-  let k = t.k and m = num_terms t in
-  let lmat = t.l in
-  let y = Array.make k 0. in
-  for i = 0 to k - 1 do
-    let acc = ref t.resid.(i) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (Linalg.Mat.get lmat i j *. y.(j))
-    done;
-    y.(i) <- !acc /. Linalg.Mat.get lmat i i
-  done;
-  let v = Array.make k 0. in
-  for i = k - 1 downto 0 do
-    let acc = ref y.(i) in
-    for j = i + 1 to k - 1 do
-      acc := !acc -. (Linalg.Mat.get lmat j i *. v.(j))
-    done;
-    v.(i) <- !acc /. Linalg.Mat.get lmat i i
-  done;
-  (* axpy accumulation row by row, in the axpy expression order *)
-  let gtv = Array.make m 0. in
-  for i = 0 to k - 1 do
-    let vi = v.(i) in
-    for j = 0 to m - 1 do
-      gtv.(j) <- (vi *. Linalg.Mat.get t.g i j) +. gtv.(j)
-    done
-  done;
-  let means = t.prior.Bmf.Prior.means in
-  Array.init m (fun j -> means.(j) +. (t.w_inv.(j) *. gtv.(j)))
+let coeffs_of t chol =
+  let v =
+    Linalg.Cholesky.solve (Linalg.Cholesky.of_factor chol)
+      (Array.sub t.resid 0 t.k)
+  in
+  Bmf.Map_solver.dual_coeffs
+    ~g:(Linalg.Mat.view_rows t.g t.k)
+    ~w_inv:t.w_inv ~means:t.prior.Bmf.Prior.means v
+
+let coeffs t = coeffs_of t (factor t)
 
 let to_artifact t =
   let k = t.k in
   let g = Linalg.Mat.copy (Linalg.Mat.view_rows t.g k) in
   let f = Array.sub t.f 0 k in
-  let chol = Linalg.Mat.create k k in
-  for i = 0 to k - 1 do
-    for j = 0 to i do
-      Linalg.Mat.set chol i j (Linalg.Mat.get t.l i j)
-    done
-  done;
-  let coeffs = coeffs t in
+  let chol = factor t in
+  let coeffs = coeffs_of t chol in
   let resid = Linalg.Vec.sub f (Linalg.Mat.gemv g coeffs) in
   let sigma0_sq =
     Float.max 1e-300

@@ -21,8 +21,9 @@ let m_seconds =
   Obs.Metrics.histogram ~help:"Batch predict latency (seconds)"
     "bmf_predict_seconds"
 
-(* Shared batch bracket: span + latency histogram + served-point
-   counters around the untouched numerical body. *)
+(* Batch bracket: span + latency histogram + served-point counters
+   around the untouched numerical body. Every entry point passes through
+   it exactly once per batch. *)
 let observed name ~batch ~with_std impl =
   if not (Obs.live ()) then impl ()
   else
@@ -62,62 +63,6 @@ let check_batch t what (xs : Linalg.Mat.t) =
          "Predictor.%s (model %s): query dimension mismatch: expected %d \
           variables per point, got %d"
          what t.label dim (Linalg.Mat.cols xs))
-
-let predict_row t row =
-  if Array.length row <> Array.length t.coeffs then
-    invalid_arg "Predictor.predict_row: basis row length mismatch";
-  Linalg.Vec.dot row t.coeffs
-
-let predict_point t x = predict_row t (Polybasis.Basis.eval_row t.basis x)
-
-let predict t xs =
-  check_batch t "predict" xs;
-  observed "predict" ~batch:(Linalg.Mat.rows xs) ~with_std:false (fun () ->
-      let gq = Polybasis.Basis.design_matrix_blocked t.basis xs in
-      Linalg.Mat.gemv gq t.coeffs)
-
-(* Predictive variance from the stored posterior core, in the dual form
-   that never touches the M x M covariance:
-
-     Sigma = sigma0^2 (G^T G + hyper W)^-1
-           = (sigma0^2 / hyper) [W^-1 - W^-1 G^T C^-1 G W^-1]
-
-   with C = hyper I + G W^-1 G^T, whose Cholesky factor the artifact
-   stores. Per query: h = W^-1 g0, u = G h, then
-   var = sigma0^2/hyper (g0.h - u^T C^-1 u) + sigma0^2, at
-   O(KM + K^2) instead of O(M^2). Exactly [Posterior.predict] in exact
-   arithmetic. *)
-let variance_row t row =
-  let h = Linalg.Vec.mul t.w_inv row in
-  let q = Linalg.Vec.dot row h in
-  let u = Linalg.Mat.gemv t.g h in
-  let v = Linalg.Cholesky.solve t.chol u in
-  let var =
-    (t.sigma0_sq /. t.hyper *. (q -. Linalg.Vec.dot u v)) +. t.sigma0_sq
-  in
-  Float.max 0. var
-
-let predict_with_std t xs =
-  check_batch t "predict_with_std" xs;
-  observed "predict_with_std" ~batch:(Linalg.Mat.rows xs) ~with_std:true
-    (fun () ->
-      let gq = Polybasis.Basis.design_matrix_blocked t.basis xs in
-      let means = Linalg.Mat.gemv gq t.coeffs in
-      let k = Linalg.Mat.rows gq in
-      (* Per-query variances are independent K x K solves against the
-         stored factor; shard the query range across domains — each
-         domain writes its own slice, so the output is bit-identical at
-         any -j. *)
-      let stds = Array.make k 0. in
-      Parallel.Pool.parallel_chunks ~grain:16 ~n:k (fun ~lo ~hi ->
-          for i = lo to hi - 1 do
-            stds.(i) <- sqrt (variance_row t (Linalg.Mat.row gq i))
-          done);
-      (means, stds))
-
-let predict_point_with_std t x =
-  let row = Polybasis.Basis.eval_row t.basis x in
-  (predict_row t row, sqrt (variance_row t row))
 
 (* Preallocated serving arena for the [_into] predict path. One scratch
    belongs to one predictor value (physical identity): the design arena
@@ -185,21 +130,25 @@ let check_dst t what name dst needed =
          "Predictor.%s (model %s): %s buffer too short: need %d, got %d" what
          t.label name needed (Array.length dst))
 
-(* Allocation-free twin of [predict]: basis rows land in the scratch
-   design arena, the mean gemv writes into the caller's buffer. Output
-   values are bit-identical to [predict] (same basis recurrences, same
-   gemv summation order). *)
+(* The mean kernel: basis rows land in the scratch design arena, the
+   mean gemv writes into the caller's buffer. Returns the design view,
+   which the variance kernel reads. *)
+let means_into t (scratch : Scratch.t) xs means =
+  let k = Linalg.Mat.rows xs in
+  Scratch.ensure scratch k;
+  let gq = Linalg.Mat.view_rows scratch.Scratch.gq k in
+  Polybasis.Basis.design_matrix_into t.basis ~scratch:scratch.Scratch.bscratch
+    xs ~dst:gq;
+  Linalg.Mat.gemv_into gq t.coeffs means;
+  gq
+
 let predict_into t ~scratch xs ~means =
   check_batch t "predict_into" xs;
   check_scratch t "predict_into" scratch;
   let k = Linalg.Mat.rows xs in
   check_dst t "predict_into" "means" means k;
   observed "predict_into" ~batch:k ~with_std:false @@ fun () ->
-  Scratch.ensure scratch k;
-  let gq = Linalg.Mat.view_rows scratch.Scratch.gq k in
-  Polybasis.Basis.design_matrix_into t.basis ~scratch:scratch.Scratch.bscratch
-    xs ~dst:gq;
-  Linalg.Mat.gemv_into gq t.coeffs means
+  ignore (means_into t scratch xs means)
 
 (* Dot product through the scratch accumulator cell: float-array
    traffic stays unboxed under vanilla ocamlopt, where both a [ref]
@@ -214,11 +163,21 @@ let dot_acc (s : Scratch.t) (x : Linalg.Vec.t) (y : Linalg.Vec.t) n =
       +. (Array.unsafe_get x i *. Array.unsafe_get y i))
   done
 
-(* [variance_row] against the scratch buffers, writing [sqrt var]
-   straight into [stds.(i)]: identical arithmetic in identical order,
-   zero per-query allocation. [if var > 0. then var else ...] is
-   [Float.max 0. var] spelled without the function call (bit-identical
-   for negative zero and NaN). *)
+(* Predictive variance from the stored posterior core, in the dual form
+   that never touches the M x M covariance:
+
+     Sigma = sigma0^2 (G^T G + hyper W)^-1
+           = (sigma0^2 / hyper) [W^-1 - W^-1 G^T C^-1 G W^-1]
+
+   with C = hyper I + G W^-1 G^T, whose Cholesky factor the artifact
+   stores. Per query row g0 of [gq]: h = W^-1 g0, u = G h, then
+   var = sigma0^2/hyper (g0.h - u^T C^-1 u) + sigma0^2, at
+   O(KM + K^2) instead of O(M^2) — exactly [Posterior.predict] in exact
+   arithmetic. Writes [sqrt var] straight into [stds.(i)] through the
+   scratch buffers, with zero per-query allocation.
+   [if var > 0. then var else ...] is [Float.max 0. var] spelled
+   without the function call (bit-identical for negative zero and
+   NaN). *)
 let variance_into t (s : Scratch.t) gq i (stds : Linalg.Vec.t) =
   Linalg.Mat.row_into gq i s.Scratch.row;
   Linalg.Vec.mul_into t.w_inv s.Scratch.row s.Scratch.h;
@@ -245,16 +204,45 @@ let predict_with_std_into t ~scratch xs ~means ~stds =
   check_dst t "predict_with_std_into" "means" means k;
   check_dst t "predict_with_std_into" "stds" stds k;
   observed "predict_with_std_into" ~batch:k ~with_std:true @@ fun () ->
-  Scratch.ensure scratch k;
-  let gq = Linalg.Mat.view_rows scratch.Scratch.gq k in
-  Polybasis.Basis.design_matrix_into t.basis ~scratch:scratch.Scratch.bscratch
-    xs ~dst:gq;
-  Linalg.Mat.gemv_into gq t.coeffs means;
+  let gq = means_into t scratch xs means in
   (* Sequential per-query variances: the daemon already shards queries
      across worker domains, so the serving plane keeps its parallelism
-     while each domain's loop stays allocation-free. Values match
-     [predict_with_std] exactly — the sharded loop there is bit-identical
-     to sequential by construction. *)
+     while each domain's loop stays allocation-free. *)
   for i = 0 to k - 1 do
     variance_into t scratch gq i stds
   done
+
+(* The allocating entry points: a fresh scratch sized to the batch, then
+   the kernels above. *)
+let predict t xs =
+  check_batch t "predict" xs;
+  let k = Linalg.Mat.rows xs in
+  let means = Array.make k 0. in
+  predict_into t ~scratch:(Scratch.create ~capacity:k t) xs ~means;
+  means
+
+let predict_with_std t xs =
+  check_batch t "predict_with_std" xs;
+  let k = Linalg.Mat.rows xs in
+  let means = Array.make k 0. and stds = Array.make k 0. in
+  let scratch = Scratch.create ~capacity:k t in
+  observed "predict_with_std" ~batch:k ~with_std:true (fun () ->
+      let gq = means_into t scratch xs means in
+      (* Per-query variances are independent K x K solves against the
+         stored factor; shard the query range across lanes with one
+         scratch each. Every lane writes its own slice of [stds], so the
+         output is bit-identical at any -j. *)
+      Parallel.Pool.parallel_chunks ~grain:16 ~n:k (fun ~lo ~hi ->
+          let lane = Scratch.create ~capacity:1 t in
+          for i = lo to hi - 1 do
+            variance_into t lane gq i stds
+          done));
+  (means, stds)
+
+let point x = Linalg.Mat.of_flat ~rows:1 ~cols:(Array.length x) x
+
+let predict_point t x = (predict t (point x)).(0)
+
+let predict_point_with_std t x =
+  let means, stds = predict_with_std t (point x) in
+  (means.(0), stds.(0))

@@ -1,11 +1,16 @@
 (** Batch prediction against a loaded model artifact.
 
-    The serving hot path: basis evaluation is amortized across the
-    whole query batch ({!Polybasis.Basis.design_matrix_blocked}), the
-    mean is one [gemv] against the stored coefficients, and predictive
-    variance comes from the stored K x K posterior core at
-    O(KM + K^2) per query — the M x M covariance of [Bmf.Posterior] is
-    never formed. *)
+    The serving hot path: the basis is evaluated on the whole query
+    batch ({!Polybasis.Basis.design_matrix_into}), the mean is one
+    [gemv] against the stored coefficients, and predictive variance
+    comes from the stored K x K posterior core at O(KM + K^2) per
+    query — the M x M covariance of [Bmf.Posterior] is never formed.
+
+    {!predict_into} and {!predict_with_std_into} are the only kernels.
+    The allocating entry points allocate a {!Scratch} and their outputs,
+    then run them, so every path returns the same bits. Each call
+    advances [bmf_predictions_total] by its batch size and
+    [bmf_predict_batches_total] by one. *)
 
 type t
 
@@ -24,17 +29,16 @@ val predict : t -> Linalg.Mat.t -> Linalg.Vec.t
 
 val predict_with_std : t -> Linalg.Mat.t -> Linalg.Vec.t * Linalg.Vec.t
 (** Means and predictive standard deviations (includes the observation
-    noise [sigma0_sq], matching [Bmf.Posterior.predict]).
+    noise [sigma0_sq], matching [Bmf.Posterior.predict]). The
+    per-query variances are sharded over the shared pool, one scratch
+    per lane; the output is bit-identical at any lane count.
     @raise Invalid_argument on a batch-width mismatch, as {!predict}. *)
 
 val predict_point : t -> Linalg.Vec.t -> float
-(** Single-point convenience. *)
+(** Single-point convenience: a one-row {!predict}. *)
 
 val predict_point_with_std : t -> Linalg.Vec.t -> float * float
-
-val predict_row : t -> Linalg.Vec.t -> float
-(** Prediction from an already-evaluated basis row (length M).
-    @raise Invalid_argument on a length mismatch. *)
+(** A one-row {!predict_with_std}. *)
 
 (** Preallocated serving arena for the allocation-free predict path: a
     capacity x M design arena, the basis evaluation scratch, and the
@@ -54,10 +58,9 @@ module Scratch : sig
 end
 
 val predict_into : t -> scratch:Scratch.t -> Linalg.Mat.t -> means:Linalg.Vec.t -> unit
-(** Allocation-free twin of {!predict}: writes the first
-    [rows xs] entries of [means] (which may be longer). In steady state
-    (batch within scratch capacity) performs zero minor-heap float-array
-    allocation. Bit-identical to {!predict}.
+(** The mean kernel: writes the first [rows xs] entries of [means]
+    (which may be longer). In steady state (batch within scratch
+    capacity) performs zero minor-heap float-array allocation.
     @raise Invalid_argument on batch-width mismatch, a foreign scratch,
     or a too-short output buffer. *)
 
@@ -68,6 +71,6 @@ val predict_with_std_into :
   means:Linalg.Vec.t ->
   stds:Linalg.Vec.t ->
   unit
-(** Allocation-free twin of {!predict_with_std}; same buffer contract as
+(** The mean-and-variance kernel; same buffer contract as
     {!predict_into}. Variances run sequentially in the calling domain
     (the serving daemon shards queries across domains above this). *)

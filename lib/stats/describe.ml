@@ -68,10 +68,3 @@ let summarize v =
     skewness;
     kurtosis_excess;
   }
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.6g std=%.6g min=%.6g q1=%.6g med=%.6g q3=%.6g max=%.6g \
-     skew=%.3g exkurt=%.3g"
-    s.count s.mean s.std s.min s.q1 s.median s.q3 s.max s.skewness
-    s.kurtosis_excess

@@ -26,5 +26,3 @@ val quantile : Linalg.Vec.t -> float -> float
 
 val summarize : Linalg.Vec.t -> summary
 (** @raise Invalid_argument on an empty sample. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -62,8 +62,3 @@ let density t =
   let width = (t.hi -. t.lo) /. float_of_int n in
   let norm = float_of_int t.total *. width in
   Array.map (fun c -> float_of_int c /. norm) t.counts
-
-let mode_bin t =
-  let best = ref 0 in
-  Array.iteri (fun i c -> if c > t.counts.(!best) then best := i) t.counts;
-  !best

@@ -24,6 +24,3 @@ val bin_centers : t -> float array
 
 val density : t -> float array
 (** Counts normalized so the histogram integrates to 1. *)
-
-val mode_bin : t -> int
-(** Index of the fullest bin. *)

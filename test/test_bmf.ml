@@ -247,6 +247,15 @@ let test_hyper_validation () =
       ignore
         (Bmf.Hyper.cv_errors ~folds:2 ~g:s.g ~f:s.f ~prior ~candidates:[ -1. ] ()))
 
+(* One sample cannot be split into a training and a held-out fold: the
+   sweep must say so itself rather than hand Crossval a single fold. *)
+let test_hyper_rejects_one_sample () =
+  let g = Linalg.Mat.of_rows [ [| 1.; 0.5; -0.25 |] ] and f = [| 1. |] in
+  let prior = Bmf.Prior.zero_mean [| Some 1.; Some 0.5; Some 0.1 |] in
+  Alcotest.check_raises "one sample"
+    (Invalid_argument "Hyper.cv_errors: need at least 2 samples") (fun () ->
+      ignore (Bmf.Hyper.cv_errors ~folds:4 ~g ~f ~prior ~candidates:[ 1. ] ()))
+
 (* Regression: a validation group of (near-)zero responses used to blow
    the relative-error denominator up to inf/NaN for every candidate; the
    guard falls back to the absolute error and keeps the sweep finite. *)
@@ -760,6 +769,8 @@ let () =
           Alcotest.test_case "select minimum" `Quick
             test_hyper_select_returns_minimum;
           Alcotest.test_case "validation" `Quick test_hyper_validation;
+          Alcotest.test_case "one sample rejected" `Quick
+            test_hyper_rejects_one_sample;
           Alcotest.test_case "zero-response folds stay finite" `Quick
             test_hyper_cv_zero_response_finite;
           Alcotest.test_case "evidence closed form" `Quick

@@ -126,6 +126,18 @@ let sweep_crashpoints ~root ~invariant f =
   in
   go 0
 
+(* The number of durability steps [f] takes: the smallest budget at
+   which a crashed child runs it to completion. *)
+let count_steps f =
+  let rec go n =
+    if n > 256 then Alcotest.fail "step count budget not exhausted";
+    match in_crashed_child ~n f with
+    | `Clean -> n
+    | `Killed -> go (n + 1)
+    | `Other what -> Alcotest.failf "child died oddly (budget %d): %s" n what
+  in
+  go 0
+
 let test_crashpoint_env_arming () =
   Fun.protect ~finally:(fun () ->
       Unix.putenv Serving.Crashpoint.env_var "0";
@@ -240,9 +252,9 @@ let test_crash_at_every_update_protocol_step () =
      ([Serving.Update.commit]): journal append (commit point) ->
      incremental apply -> durable artifact save -> journal truncate.
      Killed anywhere, recovery must land on the base or the
-     updated artifact, and whenever the journal committed the entry the
-     update must survive via replay, bit-identical to the uncrashed
-     oracle. *)
+     updated artifact. Killed before the append, it must land on the
+     base; killed after the append returned, on the update, replayed
+     bit-identical to the uncrashed oracle. *)
   with_temp_root @@ fun root ->
   let s = make_synth ~k:20 ~r:10 () in
   let a = artifact_of s in
@@ -260,13 +272,23 @@ let test_crash_at_every_update_protocol_step () =
     Serving.Incremental.add_batch upd ~xs ~f;
     Serving.Incremental.to_artifact upd
   in
+  let entry = { Serving.Journal.meta; base_rev = a.rev; xs; f } in
   let protocol () =
     let j = Serving.Journal.open_ ~root () in
-    ignore
-      (Serving.Update.commit ~durability:`Durable ~root j a
-         { Serving.Journal.meta; base_rev = a.rev; xs; f });
+    ignore (Serving.Update.commit ~durability:`Durable ~root j a entry);
     Serving.Journal.close j
   in
+  (* The commit point: the protocol's first steps are the journal's open
+     and append. Children running only those calls, in a directory of
+     their own, count them. *)
+  let opened, appended =
+    let dir = root ^ "-steps" in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let open_ () = Serving.Journal.open_ ~root:dir () in
+    ( count_steps (fun () -> ignore (open_ ())),
+      count_steps (fun () -> Serving.Journal.append (open_ ()) entry) )
+  in
+  check_bool "the append has its own steps" true (appended > opened);
   let invariant ~n ~report:_ =
     match Serving.Store.load ~root meta with
     | Error e -> Alcotest.failf "store unreadable after kill at %d: %s" n e
@@ -279,7 +301,17 @@ let test_crash_at_every_update_protocol_step () =
           check_bool
             (Printf.sprintf "kill at %d: replay matches oracle" n)
             true
-            (Array.for_all2 Float.equal oracle.coeffs b.coeffs)
+            (Array.for_all2 Float.equal oracle.coeffs b.coeffs);
+        (* killed once the append returned: the update survives *)
+        if n >= appended then
+          check_int
+            (Printf.sprintf "kill at %d, after the append: updated rev" n)
+            oracle.rev b.rev;
+        (* killed before the append's first step: nothing committed *)
+        if n <= opened then
+          check_int
+            (Printf.sprintf "kill at %d, before the append: base rev" n)
+            a.rev b.rev
   in
   let reset () = ignore (Serving.Store.save ~root a) in
   (* sweep with a store reset before each child so every budget starts

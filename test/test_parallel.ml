@@ -139,7 +139,7 @@ let test_design_matrix_bits () =
   let basis = Polybasis.Basis.total_degree ~r ~d:2 in
   let xs = Stats.Sampling.monte_carlo rng ~k:300 ~r in
   let run jobs =
-    with_jobs jobs @@ fun () -> Polybasis.Basis.design_matrix_blocked basis xs
+    with_jobs jobs @@ fun () -> Polybasis.Basis.design_matrix basis xs
   in
   let g1 = run 1 and g8 = run 8 in
   let k, m = Linalg.Mat.dims g1 in

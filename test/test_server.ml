@@ -832,6 +832,35 @@ let test_e2e_http_endpoints () =
   let n = ok "predict" (Server.Client.predict c meta (queries s 4)) in
   check_int "predict after scrapes" 4 (Array.length n)
 
+(* A request held past the slow-request threshold (0.25 s) by the batch
+   window leaves one [slow_request] event naming its op. *)
+let test_e2e_slow_request_event () =
+  with_temp_root @@ fun root ->
+  let s = make_synth ~k:20 ~r:8 () in
+  ignore (Serving.Store.save ~root (artifact_of s));
+  let config =
+    { Server.Daemon.default_config with Server.Daemon.batch_delay_s = 0.3 }
+  in
+  Obs.Events.clear ();
+  Obs.Events.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Events.disable ();
+      Obs.Events.clear ())
+  @@ fun () ->
+  with_daemon ~config ~root (fun _t addr ->
+      with_client addr @@ fun c ->
+      ignore (ok "predict" (Server.Client.predict c meta (queries s 4))));
+  let events, _ = Obs.Events.snapshot () in
+  match List.filter (fun e -> e.Obs.Events.kind = "slow_request") events with
+  | [ e ] ->
+      check_bool "names the op" true
+        (List.assoc_opt "op" e.Obs.Events.fields
+        = Some (Obs.Trace.Str "predict"))
+  | slow ->
+      Alcotest.failf "expected one slow_request event, got %d"
+        (List.length slow)
+
 (* ------------------------------------------------------------------ *)
 (* Bit-identity with the full observability plane on                   *)
 
@@ -1763,5 +1792,11 @@ let () =
         [
           Alcotest.test_case "percentile fixtures" `Quick
             test_percentile_fixtures;
+        ] );
+      (* last, so its draws from the shared rng shift no other case *)
+      ( "events",
+        [
+          Alcotest.test_case "slow request event" `Quick
+            test_e2e_slow_request_event;
         ] );
     ]

@@ -229,18 +229,30 @@ let test_store_detects_tampering () =
 (* ------------------------------------------------------------------ *)
 (* Predictor                                                           *)
 
+(* The one basis evaluator against a reference built here from its
+   definition: each entry is the left-to-right product of
+   [Hermite.normalized] over the term's factors. *)
 let test_blocked_design_matrix_matches () =
   List.iter
     (fun basis ->
       let r = Polybasis.Basis.dim basis in
       let xs = Stats.Sampling.monte_carlo rng ~k:17 ~r in
-      let direct = Polybasis.Basis.design_matrix basis xs in
-      let blocked = Polybasis.Basis.design_matrix_blocked basis xs in
-      check_int "rows" (Linalg.Mat.rows direct) (Linalg.Mat.rows blocked);
-      for i = 0 to Linalg.Mat.rows direct - 1 do
+      let g = Polybasis.Basis.design_matrix basis xs in
+      let terms = Polybasis.Basis.terms basis in
+      check_int "rows" 17 (Linalg.Mat.rows g);
+      check_int "cols" (Array.length terms) (Linalg.Mat.cols g);
+      for i = 0 to 16 do
+        let x = Linalg.Mat.row xs i in
+        let reference =
+          Array.map
+            (fun term ->
+              Array.fold_left
+                (fun acc (v, d) -> acc *. Polybasis.Hermite.normalized d x.(v))
+                1. term)
+            terms
+        in
         check_bool "row bit-identical" true
-          (Array.for_all2 Float.equal (Linalg.Mat.row direct i)
-             (Linalg.Mat.row blocked i))
+          (Array.for_all2 Float.equal reference (Linalg.Mat.row g i))
       done)
     [
       Polybasis.Basis.linear 12;
@@ -279,6 +291,42 @@ let test_predictor_variance_matches_posterior () =
     check_bool "std close" true
       (Float.abs (std_srv -. std_post) < 1e-6 *. Float.max 1. std_post)
   done
+
+(* The allocating entry points wrap the observed kernels: one call must
+   still count its points, its batch and its design rows exactly once. *)
+let test_predictor_counters_once_per_call () =
+  let s = make_synth ~k:20 ~r:8 () in
+  let p = Serving.Predictor.of_artifact (artifact_of s) in
+  let batch = 7 in
+  let q = queries s batch in
+  let names =
+    [
+      ("bmf_predictions_total", float_of_int batch);
+      ("bmf_predict_batches_total", 1.);
+      ("bmf_design_matrix_rows_total", float_of_int batch);
+    ]
+  in
+  let value name =
+    match Obs.Metrics.find_counter name with
+    | Some c -> Obs.Metrics.counter_value c
+    | None -> Alcotest.failf "counter %s not registered" name
+  in
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:Obs.Metrics.disable @@ fun () ->
+  let advances what f =
+    let before = List.map (fun (name, _) -> value name) names in
+    f ();
+    List.iter2
+      (fun (name, by) b ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s advances %s by %g" what name by)
+          by
+          (value name -. b))
+      names before
+  in
+  advances "predict" (fun () -> ignore (Serving.Predictor.predict p q));
+  advances "predict_with_std" (fun () ->
+      ignore (Serving.Predictor.predict_with_std p q))
 
 let test_predictor_rejects_dim_mismatch () =
   let s = make_synth ~k:20 ~r:10 () in
@@ -964,5 +1012,11 @@ let () =
         [
           Alcotest.test_case "seed fingerprints" `Quick
             test_golden_fingerprints;
+        ] );
+      (* last, so its draws from the shared rng shift no other case *)
+      ( "counters",
+        [
+          Alcotest.test_case "predictor counts once per call" `Quick
+            test_predictor_counters_once_per_call;
         ] );
     ]
