@@ -114,31 +114,26 @@ let solve_into f b ~y ~dst =
   if Array.length y < n || Array.length dst < n then
     invalid_arg "Cholesky.solve_into: scratch too short";
   let ld = (f.l : Mat.t).data in
-  (* accumulate in the destination cells (unboxed float-array traffic —
-     a [float ref] would box per iteration under vanilla ocamlopt);
-     same subtraction order as the ref formulation *)
+  (* each substitution accumulates in a local [float ref], which stays
+     unboxed in a register in these call-free loops; same subtraction
+     order as a destination-cell accumulator *)
   (* forward: l y = b *)
   for i = 0 to n - 1 do
     let ibase = i * n in
-    Array.unsafe_set y i (Array.unsafe_get b i);
+    let acc = ref (Array.unsafe_get b i) in
     for k = 0 to i - 1 do
-      Array.unsafe_set y i
-        (Array.unsafe_get y i
-        -. (A.unsafe_get ld (ibase + k) *. Array.unsafe_get y k))
+      acc := !acc -. (A.unsafe_get ld (ibase + k) *. Array.unsafe_get y k)
     done;
-    Array.unsafe_set y i
-      (Array.unsafe_get y i /. A.unsafe_get ld (ibase + i))
+    Array.unsafe_set y i (!acc /. A.unsafe_get ld (ibase + i))
   done;
   (* backward: l^T x = y *)
   for i = n - 1 downto 0 do
-    Array.unsafe_set dst i (Array.unsafe_get y i);
+    let acc = ref (Array.unsafe_get y i) in
     for k = i + 1 to n - 1 do
-      Array.unsafe_set dst i
-        (Array.unsafe_get dst i
-        -. (A.unsafe_get ld ((k * n) + i) *. Array.unsafe_get dst k))
+      acc :=
+        !acc -. (A.unsafe_get ld ((k * n) + i) *. Array.unsafe_get dst k)
     done;
-    Array.unsafe_set dst i
-      (Array.unsafe_get dst i /. A.unsafe_get ld ((i * n) + i))
+    Array.unsafe_set dst i (!acc /. A.unsafe_get ld ((i * n) + i))
   done
 
 let solve f b =

@@ -226,17 +226,17 @@ let gemv_into a x (y : Vec.t) =
   if Array.length y < a.rows then
     invalid_arg "Mat.gemv_into: destination too short";
   let data = a.data and c = a.cols in
-  (* accumulate in the destination cell: float-array loads/stores stay
-     unboxed under vanilla ocamlopt, where a [float ref] accumulator
-     boxes on every iteration. Same summation order as a ref. *)
+  (* a local [float ref] in a call-free loop stays unboxed in a
+     register under vanilla ocamlopt; accumulating in the destination
+     cell instead made every multiply-add wait on a store and a
+     reload. Left-to-right order from 0. *)
   for i = 0 to a.rows - 1 do
     let base = i * c in
-    Array.unsafe_set y i 0.;
+    let acc = ref 0. in
     for j = 0 to c - 1 do
-      Array.unsafe_set y i
-        (Array.unsafe_get y i
-        +. (uget data (base + j) *. Array.unsafe_get x j))
-    done
+      acc := !acc +. (uget data (base + j) *. Array.unsafe_get x j)
+    done;
+    Array.unsafe_set y i !acc
   done
 
 let gemv a x =
@@ -373,23 +373,46 @@ let gram a =
   c
 
 (* a diag(w) a^T: rows are contiguous so the triple loop is fully
-   sequential; upper triangle then mirror. *)
+   sequential; upper triangle then mirror. Four entries of a row at a
+   time share each load of row i and of w, in four independent register
+   sums; every entry keeps the left-to-right order of the one-entry
+   loop that finishes the row. *)
 let weighted_outer_gram a w =
   if Array.length w <> a.cols then
     invalid_arg "Mat.weighted_outer_gram: weight length mismatch";
   let k = a.rows and m = a.cols in
   let c = create k k in
+  let d = a.data in
   for i = 0 to k - 1 do
     let ibase = i * m in
-    for j = i to k - 1 do
+    let j = ref i in
+    while !j + 3 < k do
+      let b0 = !j * m in
+      let b1 = b0 + m in
+      let b2 = b1 + m in
+      let b3 = b2 + m in
+      let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+      for t = 0 to m - 1 do
+        let x = uget d (ibase + t) *. Array.unsafe_get w t in
+        a0 := !a0 +. (x *. uget d (b0 + t));
+        a1 := !a1 +. (x *. uget d (b1 + t));
+        a2 := !a2 +. (x *. uget d (b2 + t));
+        a3 := !a3 +. (x *. uget d (b3 + t))
+      done;
+      let cbase = (i * k) + !j in
+      uset c.data cbase !a0;
+      uset c.data (cbase + 1) !a1;
+      uset c.data (cbase + 2) !a2;
+      uset c.data (cbase + 3) !a3;
+      j := !j + 4
+    done;
+    for j = !j to k - 1 do
       let jbase = j * m in
       let acc = ref 0. in
       for t = 0 to m - 1 do
         acc :=
           !acc
-          +. uget a.data (ibase + t)
-             *. Array.unsafe_get w t
-             *. uget a.data (jbase + t)
+          +. (uget d (ibase + t) *. Array.unsafe_get w t *. uget d (jbase + t))
       done;
       uset c.data ((i * k) + j) !acc
     done

@@ -123,9 +123,10 @@ let design_matrix_into b ~scratch xs ~dst =
     invalid_arg "Basis.design_matrix_into: destination shape mismatch";
   observed b ~rows:k @@ fun () ->
   (* Work straight on the Bigarray storage with unboxed loads/stores,
-     accumulating each term's product in its destination cell — under
-     vanilla ocamlopt a [float ref] accumulator (and any cross-module
-     get/set) would box a float per factor. Bounds were checked above. *)
+     accumulating each term's product in its destination cell, where
+     the design matrix wants it (a local [float ref] would stay unboxed
+     too; a cross-module get/set call would box a float per factor).
+     Bounds were checked above. *)
   let module A = Bigarray.Array1 in
   let xd = Linalg.Mat.data xs in
   let dd = Linalg.Mat.data dst in

@@ -1610,7 +1610,7 @@ let work_name = function
 (* Account, trace and frame one admitted request's response, on
    whichever domain served it; only the owning worker queues the
    frame on the connection. *)
-let complete t (p : pending) resp =
+let complete (p : pending) resp =
   let done_s = now_s () in
   Obs.Metrics.observe (opcode_histogram p.work) (done_s -. p.admitted_s);
   let frame =
@@ -1645,9 +1645,9 @@ let complete t (p : pending) resp =
   frame
 
 (* Worker side: answer a queued request on its connection. *)
-let finish t (p : pending) resp =
+let finish (p : pending) resp =
   p.p_conn.inflight <- p.p_conn.inflight - 1;
-  send p.p_conn (complete t p resp)
+  send p.p_conn (complete p resp)
 
 (* Queue span: admission to execution start, per request. *)
 let trace_queued (p : pending) ~start_us =
@@ -1738,7 +1738,7 @@ let run_fused t ~arena ~dim ~label ~empty ~kernel members =
   in
   List.iter
     (fun (p, (points : Linalg.Mat.t)) ->
-      finish t p
+      finish p
         (bad_request
            (Printf.sprintf
               "%s: query dimension mismatch: expected %d variables, got %d"
@@ -1758,7 +1758,7 @@ let run_fused t ~arena ~dim ~label ~empty ~kernel members =
       let total =
         List.fold_left (fun acc (_, p) -> acc + Linalg.Mat.rows p) 0 batch
       in
-      if total = 0 then List.iter (fun (p, _) -> finish t p empty) batch
+      if total = 0 then List.iter (fun (p, _) -> finish p empty) batch
       else begin
         let fused = fused_buffer arena.ar_fused total dim in
         let at = ref 0 in
@@ -1772,7 +1772,7 @@ let run_fused t ~arena ~dim ~label ~empty ~kernel members =
         let k0 = if Obs.Trace.enabled () then Obs.Clock.now_us () else 0. in
         match kernel fused total with
         | exception e ->
-            List.iter (fun (p, _) -> finish t p (internal_error e)) batch
+            List.iter (fun (p, _) -> finish p (internal_error e)) batch
         | answer ->
             (* each member's trace shows the shared fused-kernel window
                it rode in (same interval, own parent) *)
@@ -1790,7 +1790,7 @@ let run_fused t ~arena ~dim ~label ~empty ~kernel members =
             List.iter
               (fun (p, (points : Linalg.Mat.t)) ->
                 let rows = Linalg.Mat.rows points in
-                finish t p
+                finish p
                   (try answer ~at:!at ~rows with e -> internal_error e);
                 at := !at + rows)
               batch
@@ -1803,7 +1803,7 @@ let run_fused t ~arena ~dim ~label ~empty ~kernel members =
    copies each request's slice out before the buffers are reused. *)
 let run_predict_group t ~arena meta with_std members =
   match worker_predictor t meta with
-  | Error e -> List.iter (fun (p, _) -> finish t p (Wire.Error e)) members
+  | Error e -> List.iter (fun (p, _) -> finish p (Wire.Error e)) members
   | Ok predictor ->
       run_fused t ~arena
         ~dim:(Polybasis.Basis.dim (Serving.Predictor.basis predictor))
@@ -1838,7 +1838,7 @@ let run_predict_group t ~arena meta with_std members =
    bit-identical to a direct member-by-member computation at any shard
    count or pool width. *)
 let run_ensemble_group t ~arena name members =
-  let fail_all resp = List.iter (fun (p, _) -> finish t p resp) members in
+  let fail_all resp = List.iter (fun (p, _) -> finish p resp) members in
   match Ensemble.Manager.find t.ensembles name with
   | None ->
       fail_all
@@ -1983,12 +1983,12 @@ let commit_update t (p : pending) meta xs f : Wire.response =
    never gated on the window — so deadline-expiry latency tracks the
    select timeout, not the batch cadence.                              *)
 
-let refuse_expired t q ~now =
+let refuse_expired q ~now =
   let n = Queue.length q in
   for _ = 1 to n do
     let p = Queue.pop q in
     if p.p_conn.closed then () (* hung up: drop the work silently *)
-    else if p.expires_s < now then finish t p deadline_error
+    else if p.expires_s < now then finish p deadline_error
     else Queue.add p q
   done
 
@@ -2029,7 +2029,7 @@ let process_window t w =
   let run_group run (key, members) =
     let members = List.rev !members in
     try run key members
-    with e -> List.iter (fun (p, _) -> finish t p (internal_error e)) members
+    with e -> List.iter (fun (p, _) -> finish p (internal_error e)) members
   in
   List.iter
     (run_group (fun (meta, with_std) ->
@@ -2170,7 +2170,7 @@ let worker_step t w ~readable ~writable =
       if List.mem c.fd readable then
         read_conn t ~scratch:w.scratch ~dispatch:(on_frame t w) c)
     w.conns;
-  refuse_expired t w.queue ~now:(now_s ());
+  refuse_expired w.queue ~now:(now_s ());
   if window_due t w.queue then process_window t w;
   List.iter
     (fun c ->
@@ -2273,7 +2273,7 @@ let serve_request t wid (p : pending) =
         | Wpredict _ | Wensemble _ -> internal_error (Failure "misrouted read")
       with e -> internal_error e
   in
-  Mbox.push t.workers.(wid).mbox (Answer (p.p_conn, complete t p resp))
+  Mbox.push t.workers.(wid).mbox (Answer (p.p_conn, complete p resp))
 
 (* Adopt a connection handed over by a worker: rebuild the conn record
    around the fd, run the subscription, then parse whatever else was

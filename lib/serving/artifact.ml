@@ -34,12 +34,17 @@ let method_name a = Bmf.Prior.kind_name a.prior.Bmf.Prior.kind
    Bigarray off the OCaml heap). *)
 let mat_flat (m : Linalg.Mat.t) = Linalg.Mat.to_flat m
 
+(* A loop, not [String.iter]: the closure would box the Int64
+   accumulator on every byte, where the local ref stays unboxed. *)
 let fnv64 s =
   let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        prime
+  done;
   !h
 
 let checksum_hex s = Printf.sprintf "%016Lx" (fnv64 s)

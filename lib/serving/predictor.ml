@@ -77,12 +77,10 @@ module Scratch = struct
     mutable capacity : int; (* rows the design arena can hold *)
     mutable gq : Linalg.Mat.t; (* capacity x M design arena *)
     bscratch : Polybasis.Basis.Scratch.t;
-    row : Linalg.Vec.t; (* length M: one design row *)
-    h : Linalg.Vec.t; (* length M: W^-1 g0 *)
-    u : Linalg.Vec.t; (* length K: G h *)
+    h : Linalg.Vec.t array; (* 4 lanes of length M: W^-1 g0 *)
+    u : Linalg.Vec.t array; (* 4 lanes of length K: G h *)
     y : Linalg.Vec.t; (* length K: forward-solve intermediate *)
     v : Linalg.Vec.t; (* length K: C^-1 u *)
-    acc : Linalg.Vec.t; (* 1 cell: unboxed dot accumulator *)
   }
 
   let create ?(capacity = 64) pred =
@@ -94,12 +92,10 @@ module Scratch = struct
       capacity;
       gq = Linalg.Mat.create capacity m;
       bscratch = Polybasis.Basis.Scratch.create pred.basis;
-      row = Linalg.Vec.create m;
-      h = Linalg.Vec.create m;
-      u = Linalg.Vec.create k_core;
+      h = Array.init 4 (fun _ -> Linalg.Vec.create m);
+      u = Array.init 4 (fun _ -> Linalg.Vec.create k_core);
       y = Linalg.Vec.create k_core;
       v = Linalg.Vec.create k_core;
-      acc = Linalg.Vec.create 1;
     }
 
   let for_predictor s pred = s.pred == pred
@@ -150,18 +146,53 @@ let predict_into t ~scratch xs ~means =
   observed "predict_into" ~batch:k ~with_std:false @@ fun () ->
   ignore (means_into t scratch xs means)
 
-(* Dot product through the scratch accumulator cell: float-array
-   traffic stays unboxed under vanilla ocamlopt, where both a [ref]
-   accumulator and [Vec.dot]'s boxed float return would allocate.
-   Summation order is [Vec.dot]'s. *)
-let dot_acc (s : Scratch.t) (x : Linalg.Vec.t) (y : Linalg.Vec.t) n =
-  let acc = s.Scratch.acc in
-  Array.unsafe_set acc 0 0.;
-  for i = 0 to n - 1 do
-    Array.unsafe_set acc 0
-      (Array.unsafe_get acc 0
-      +. (Array.unsafe_get x i *. Array.unsafe_get y i))
+module A = Bigarray.Array1
+
+(* u_l = G h_l for four lanes in one sweep over [g]: each load of G
+   feeds four independent register sums, and each sum keeps the
+   left-to-right order of [Mat.gemv_into]. *)
+let gemv4_into (g : Linalg.Mat.t) (h : Linalg.Vec.t array)
+    (u : Linalg.Vec.t array) =
+  let gd = Linalg.Mat.data g and m = Linalg.Mat.cols g in
+  let h0 = h.(0) and h1 = h.(1) and h2 = h.(2) and h3 = h.(3) in
+  let u0 = u.(0) and u1 = u.(1) and u2 = u.(2) and u3 = u.(3) in
+  for r = 0 to Linalg.Mat.rows g - 1 do
+    let base = r * m in
+    let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+    for j = 0 to m - 1 do
+      let x = A.unsafe_get gd (base + j) in
+      a0 := !a0 +. (x *. Array.unsafe_get h0 j);
+      a1 := !a1 +. (x *. Array.unsafe_get h1 j);
+      a2 := !a2 +. (x *. Array.unsafe_get h2 j);
+      a3 := !a3 +. (x *. Array.unsafe_get h3 j)
+    done;
+    Array.unsafe_set u0 r !a0;
+    Array.unsafe_set u1 r !a1;
+    Array.unsafe_set u2 r !a2;
+    Array.unsafe_set u3 r !a3
   done
+
+(* var = sigma0^2/hyper (g0.h - u.C^-1 u) + sigma0^2 for the design row
+   [r], from its lane's h and u; writes [sqrt var] into [stds.(r)].
+   [if var > 0. then var else ...] is [Float.max 0. var] spelled
+   without the function call (bit-identical for negative zero and
+   NaN). *)
+let std_into t (s : Scratch.t) (gd : Linalg.Mat.buf) m r h u
+    (stds : Linalg.Vec.t) =
+  let base = r * m in
+  let q = ref 0. in
+  for j = 0 to m - 1 do
+    q := !q +. (A.unsafe_get gd (base + j) *. Array.unsafe_get h j)
+  done;
+  Linalg.Cholesky.solve_into t.chol u ~y:s.Scratch.y ~dst:s.Scratch.v;
+  let v = s.Scratch.v in
+  let uv = ref 0. in
+  for i = 0 to Array.length u - 1 do
+    uv := !uv +. (Array.unsafe_get u i *. Array.unsafe_get v i)
+  done;
+  let var = (t.sigma0_sq /. t.hyper *. (!q -. !uv)) +. t.sigma0_sq in
+  Array.unsafe_set stds r
+    (sqrt (if var > 0. then var else if var <> var then var else 0.))
 
 (* Predictive variance from the stored posterior core, in the dual form
    that never touches the M x M covariance:
@@ -173,29 +204,34 @@ let dot_acc (s : Scratch.t) (x : Linalg.Vec.t) (y : Linalg.Vec.t) n =
    stores. Per query row g0 of [gq]: h = W^-1 g0, u = G h, then
    var = sigma0^2/hyper (g0.h - u^T C^-1 u) + sigma0^2, at
    O(KM + K^2) instead of O(M^2) — exactly [Posterior.predict] in exact
-   arithmetic. Writes [sqrt var] straight into [stds.(i)] through the
-   scratch buffers, with zero per-query allocation.
-   [if var > 0. then var else ...] is [Float.max 0. var] spelled
-   without the function call (bit-identical for negative zero and
-   NaN). *)
-let variance_into t (s : Scratch.t) gq i (stds : Linalg.Vec.t) =
-  Linalg.Mat.row_into gq i s.Scratch.row;
-  Linalg.Vec.mul_into t.w_inv s.Scratch.row s.Scratch.h;
-  let m = Array.length s.Scratch.row in
-  let k_core = Array.length s.Scratch.u in
-  dot_acc s s.Scratch.row s.Scratch.h m;
-  let q = Array.unsafe_get s.Scratch.acc 0 in
-  Linalg.Mat.gemv_into t.g s.Scratch.h s.Scratch.u;
-  Linalg.Cholesky.solve_into t.chol s.Scratch.u ~y:s.Scratch.y
-    ~dst:s.Scratch.v;
-  dot_acc s s.Scratch.u s.Scratch.v k_core;
-  let var =
-    t.sigma0_sq /. t.hyper
-    *. (q -. Array.unsafe_get s.Scratch.acc 0)
-    +. t.sigma0_sq
-  in
-  Array.unsafe_set stds i
-    (sqrt (if var > 0. then var else if var <> var then var else 0.))
+   arithmetic.
+
+   Rows [lo, hi) go four at a time, so the K x M sweep over G (nearly
+   the whole cost) is shared by four queries. A short last block
+   repeats its last row: the extra lanes are computed, never written.
+   Every row's std has the bits of a per-row evaluation, whatever its
+   position in the batch. Zero allocation. *)
+let variances_into t (s : Scratch.t) gq ~lo ~hi (stds : Linalg.Vec.t) =
+  let gd = Linalg.Mat.data gq and m = Linalg.Mat.cols gq in
+  for blk = 0 to ((hi - lo + 3) / 4) - 1 do
+    let r0 = lo + (4 * blk) in
+    (* h = W^-1 g0 per lane *)
+    for l = 0 to 3 do
+      let base = Int.min (r0 + l) (hi - 1) * m in
+      let h = Array.unsafe_get s.Scratch.h l in
+      for j = 0 to m - 1 do
+        Array.unsafe_set h j
+          (Array.unsafe_get t.w_inv j *. A.unsafe_get gd (base + j))
+      done
+    done;
+    gemv4_into t.g s.Scratch.h s.Scratch.u;
+    for l = 0 to Int.min 3 (hi - 1 - r0) do
+      std_into t s gd m (r0 + l)
+        (Array.unsafe_get s.Scratch.h l)
+        (Array.unsafe_get s.Scratch.u l)
+        stds
+    done
+  done
 
 let predict_with_std_into t ~scratch xs ~means ~stds =
   check_batch t "predict_with_std_into" xs;
@@ -205,12 +241,10 @@ let predict_with_std_into t ~scratch xs ~means ~stds =
   check_dst t "predict_with_std_into" "stds" stds k;
   observed "predict_with_std_into" ~batch:k ~with_std:true @@ fun () ->
   let gq = means_into t scratch xs means in
-  (* Sequential per-query variances: the daemon already shards queries
-     across worker domains, so the serving plane keeps its parallelism
-     while each domain's loop stays allocation-free. *)
-  for i = 0 to k - 1 do
-    variance_into t scratch gq i stds
-  done
+  (* Sequential variances: the daemon already shards queries across
+     worker domains, so the serving plane keeps its parallelism while
+     each domain's loop stays allocation-free. *)
+  variances_into t scratch gq ~lo:0 ~hi:k stds
 
 (* The allocating entry points: a fresh scratch sized to the batch, then
    the kernels above. *)
@@ -233,10 +267,7 @@ let predict_with_std t xs =
          scratch each. Every lane writes its own slice of [stds], so the
          output is bit-identical at any -j. *)
       Parallel.Pool.parallel_chunks ~grain:16 ~n:k (fun ~lo ~hi ->
-          let lane = Scratch.create ~capacity:1 t in
-          for i = lo to hi - 1 do
-            variance_into t lane gq i stds
-          done));
+          variances_into t (Scratch.create ~capacity:1 t) gq ~lo ~hi stds));
   (means, stds)
 
 let point x = Linalg.Mat.of_flat ~rows:1 ~cols:(Array.length x) x

@@ -42,8 +42,9 @@ val predict_point_with_std : t -> Linalg.Vec.t -> float * float
 
 (** Preallocated serving arena for the allocation-free predict path: a
     capacity x M design arena, the basis evaluation scratch, and the
-    per-query variance work vectors. A scratch belongs to one predictor
-    value (physical identity) — build a new one after a model swap. *)
+    variance work vectors for one block of four queries. A scratch
+    belongs to one predictor value (physical identity) — build a new one
+    after a model swap. *)
 module Scratch : sig
   type pred := t
 
@@ -73,4 +74,6 @@ val predict_with_std_into :
   unit
 (** The mean-and-variance kernel; same buffer contract as
     {!predict_into}. Variances run sequentially in the calling domain
-    (the serving daemon shards queries across domains above this). *)
+    (the serving daemon shards queries across domains above this), four
+    rows at a time so that one sweep over the posterior core serves four
+    queries; each std has the bits of a one-row call. *)

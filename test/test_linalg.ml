@@ -466,16 +466,32 @@ let qcheck_tests =
         ignore (Cholesky.factor f);
         true);
     (* every [_into] kernel must be bitwise identical to its allocating
-       twin, writing only the contracted prefix of a longer buffer *)
+       twin, writing only the contracted prefix of a longer buffer. The
+       twins of [gemv_into] and [solve_into] are wrappers over the same
+       body, so those two are also held to a left-to-right reference
+       written here over [Mat.get] with a local accumulator: only an
+       independent reference pins the summation order. *)
     Test.make ~name:"gemv_into-bitwise-gemv" ~count:100
-      (make Gen.(pair (vec_gen 4) (vec_gen 12)))
-      (fun (x, data) ->
-        let a = Mat.init 3 4 (fun i j -> data.((i * 4) + j)) in
-        let expect = Mat.gemv a x in
-        let y = Array.make 5 nan in
+      (make
+         Gen.(
+           pair (int_range 1 9) (int_range 1 40) >>= fun (r, c) ->
+           pair (return (r, c)) (vec_gen ((r * c) + c))))
+      (fun ((r, c), data) ->
+        let a = Mat.init r c (fun i j -> data.((i * c) + j)) in
+        let x = Array.sub data (r * c) c in
+        let expect =
+          Array.init r (fun i ->
+              let acc = ref 0. in
+              for j = 0 to c - 1 do
+                acc := !acc +. (Mat.get a i j *. x.(j))
+              done;
+              !acc)
+        in
+        let y = Array.make (r + 2) nan in
         Mat.gemv_into a x y;
-        Array.for_all2 Float.equal expect (Array.sub y 0 3)
-        && Float.is_nan y.(3) && Float.is_nan y.(4));
+        Array.for_all2 Float.equal expect (Array.sub y 0 r)
+        && Array.for_all2 Float.equal expect (Mat.gemv a x)
+        && Float.is_nan y.(r) && Float.is_nan y.(r + 1));
     Test.make ~name:"gemv_t_into-bitwise-gemv_t" ~count:100
       (make Gen.(pair (vec_gen 3) (vec_gen 12)))
       (fun (x, data) ->
@@ -510,15 +526,39 @@ let qcheck_tests =
         ok_add && ok_sub && ok_mul
         && Array.for_all2 Float.equal expect_alias x');
     Test.make ~name:"cholesky-solve_into-bitwise-solve" ~count:50
-      (make Gen.(pair (vec_gen 4) (vec_gen 16)))
-      (fun (b, data) ->
-        let m = Mat.init 4 4 (fun i j -> data.((i * 4) + j)) in
-        let a = Mat.add_diag (Mat.gram m) (Array.make 4 1.) in
+      (make
+         Gen.(
+           int_range 1 12 >>= fun n ->
+           pair (return n) (vec_gen ((n * n) + n))))
+      (fun (n, data) ->
+        let m = Mat.init n n (fun i j -> data.((i * n) + j)) in
+        let b = Array.sub data (n * n) n in
+        let a = Mat.add_diag (Mat.gram m) (Array.make n 1.) in
         let f = Cholesky.factorize a in
-        let expect = Cholesky.solve f b in
-        let y = Array.make 6 nan and dst = Array.make 5 nan in
+        let l = Cholesky.factor f in
+        (* forward l y = b, then backward l^T x = y, each subtracting
+           left to right *)
+        let ey = Array.make n 0. and ex = Array.make n 0. in
+        for i = 0 to n - 1 do
+          let acc = ref b.(i) in
+          for k = 0 to i - 1 do
+            acc := !acc -. (Mat.get l i k *. ey.(k))
+          done;
+          ey.(i) <- !acc /. Mat.get l i i
+        done;
+        for i = n - 1 downto 0 do
+          let acc = ref ey.(i) in
+          for k = i + 1 to n - 1 do
+            acc := !acc -. (Mat.get l k i *. ex.(k))
+          done;
+          ex.(i) <- !acc /. Mat.get l i i
+        done;
+        let y = Array.make (n + 2) nan and dst = Array.make (n + 1) nan in
         Cholesky.solve_into f b ~y ~dst;
-        Array.for_all2 Float.equal expect (Array.sub dst 0 4));
+        Array.for_all2 Float.equal ey (Array.sub y 0 n)
+        && Array.for_all2 Float.equal ex (Array.sub dst 0 n)
+        && Array.for_all2 Float.equal ex (Cholesky.solve f b)
+        && Float.is_nan dst.(n));
     Test.make ~name:"row_dot-and-col_nrm2-bitwise" ~count:100
       (make Gen.(pair (vec_gen 4) (vec_gen 12)))
       (fun (x, data) ->
@@ -537,6 +577,29 @@ let qcheck_tests =
           then cols_ok := false
         done;
         !rows_ok && !cols_ok);
+    (* rows go four entries at a time plus a one-entry tail; every entry
+       must keep the left-to-right order of a reference sum *)
+    Test.make ~name:"weighted_outer_gram-bitwise-reference" ~count:50
+      (make
+         Gen.(
+           pair (int_range 1 11) (int_range 1 30) >>= fun (r, c) ->
+           pair (return (r, c)) (vec_gen ((r * c) + c))))
+      (fun ((r, c), data) ->
+        let a = Mat.init r c (fun i j -> data.((i * c) + j)) in
+        let w = Array.sub data (r * c) c in
+        let g = Mat.weighted_outer_gram a w in
+        let ok = ref true in
+        for i = 0 to r - 1 do
+          for j = 0 to r - 1 do
+            let lo = Stdlib.min i j and hi = Stdlib.max i j in
+            let acc = ref 0. in
+            for t = 0 to c - 1 do
+              acc := !acc +. (Mat.get a lo t *. w.(t) *. Mat.get a hi t)
+            done;
+            if not (Float.equal !acc (Mat.get g i j)) then ok := false
+          done
+        done;
+        !ok);
     (* the unweighted gram fast paths must match the all-ones weighted
        kernels bit for bit (1 * x is exactly x in IEEE) *)
     Test.make ~name:"gram-fast-path-bitwise" ~count:50

@@ -20,7 +20,7 @@ type synth = {
   truth : Linalg.Vec.t;
 }
 
-let make_synth ?(k = 40) ?(r = 25) ?(noise = 0.01) () =
+let make_synth ?(rng = rng) ?(k = 40) ?(r = 25) ?(noise = 0.01) () =
   let basis = Polybasis.Basis.linear r in
   let m = Polybasis.Basis.size basis in
   let truth =
@@ -49,12 +49,34 @@ let artifact_of (s : synth) =
   Serving.Artifact.of_fit ~meta ~basis:s.basis ~prior:s.prior ~hyper:s.hyper
     ~g:s.g ~f:s.f ()
 
-let queries (s : synth) n =
+let queries ?(rng = rng) (s : synth) n =
   let r = Polybasis.Basis.dim s.basis in
   Linalg.Mat.of_rows (List.init n (fun _ -> Stats.Rng.gaussian_vec rng r))
 
 (* ------------------------------------------------------------------ *)
 (* Artifact codecs                                                     *)
+
+(* FNV-1a 64 known answers, and a hash that allocates O(1) minor words
+   whatever the payload size: it runs on every save, load, journal
+   append and recovery. *)
+let test_fnv64 () =
+  List.iter
+    (fun (input, hex) ->
+      check_string (Printf.sprintf "fnv64 %S" input) hex
+        (Serving.Artifact.checksum_hex input))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ];
+  let payload = String.init 100_000 (fun i -> Char.chr (i land 255)) in
+  ignore (Serving.Artifact.fnv64 payload);
+  let before = Gc.minor_words () in
+  ignore (Serving.Artifact.fnv64 payload);
+  let words = Gc.minor_words () -. before in
+  if words > 16. then
+    Alcotest.failf "fnv64 allocates %.0f minor words on 100 kB (budget 16)"
+      words
 
 let test_of_fit_matches_solver () =
   let s = make_synth () in
@@ -755,19 +777,150 @@ let test_predict_into_matches () =
     (* 17 and 40 overflow the capacity-8 arena and exercise growth *)
     [ 1; 5; 8; 17; 40 ]
 
+(* Left-to-right reference for the served mean and std, written over
+   [Mat.get] with local accumulators from the artifact's stored fields,
+   one query at a time: mean = g0.coeffs; h = W^-1 g0, u = G h, C v = u
+   by forward then back substitution on the stored factor, and
+   var = sigma0^2/hyper (g0.h - u.v) + sigma0^2. *)
+let reference_predict (a : Serving.Artifact.t) xs =
+  let gq = Polybasis.Basis.design_matrix (Serving.Artifact.basis a) xs in
+  let n, m = Linalg.Mat.dims gq in
+  let g = a.Serving.Artifact.g and l = a.Serving.Artifact.chol in
+  let kc = Linalg.Mat.rows g in
+  let w_inv = Array.map (fun w -> 1. /. w) a.prior.Bmf.Prior.weights in
+  let sum len term =
+    let acc = ref 0. in
+    for j = 0 to len - 1 do
+      acc := !acc +. term j
+    done;
+    !acc
+  in
+  let means = Array.make n 0. and stds = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let g0 j = Linalg.Mat.get gq i j in
+    means.(i) <- sum m (fun j -> g0 j *. a.coeffs.(j));
+    let h = Array.init m (fun j -> w_inv.(j) *. g0 j) in
+    let q = sum m (fun j -> g0 j *. h.(j)) in
+    let u =
+      Array.init kc (fun r -> sum m (fun j -> Linalg.Mat.get g r j *. h.(j)))
+    in
+    let y = Array.make kc 0. and v = Array.make kc 0. in
+    for r = 0 to kc - 1 do
+      let acc = ref u.(r) in
+      for c = 0 to r - 1 do
+        acc := !acc -. (Linalg.Mat.get l r c *. y.(c))
+      done;
+      y.(r) <- !acc /. Linalg.Mat.get l r r
+    done;
+    for r = kc - 1 downto 0 do
+      let acc = ref y.(r) in
+      for c = r + 1 to kc - 1 do
+        acc := !acc -. (Linalg.Mat.get l c r *. v.(c))
+      done;
+      v.(r) <- !acc /. Linalg.Mat.get l r r
+    done;
+    let uv = sum kc (fun r -> u.(r) *. v.(r)) in
+    let var = (a.sigma0_sq /. a.hyper *. (q -. uv)) +. a.sigma0_sq in
+    stds.(i) <- sqrt (Float.max 0. var)
+  done;
+  (means, stds)
+
+let check_bits what expect got =
+  Array.iteri
+    (fun i e ->
+      if not (Float.equal e got.(i)) then
+        Alcotest.failf "%s: entry %d is %h, expected %h" what i got.(i) e)
+    expect
+
+(* Both predictor paths against the reference, at batch sizes that end
+   in a full block of four and in each short one, through a capacity-4
+   scratch that has to grow. *)
 let test_predict_with_std_into_matches () =
   let s = make_synth ~k:24 ~r:10 () in
-  let p = Serving.Predictor.of_artifact (artifact_of s) in
+  let a = artifact_of s in
+  let p = Serving.Predictor.of_artifact a in
   let scratch = Serving.Predictor.Scratch.create ~capacity:4 p in
   List.iter
     (fun n ->
       let q = queries s n in
+      let rm, rs = reference_predict a q in
       let em, es = Serving.Predictor.predict_with_std p q in
       let means = Array.make n nan and stds = Array.make n nan in
       Serving.Predictor.predict_with_std_into p ~scratch q ~means ~stds;
-      check_bool "means bit-identical" true (Array.for_all2 Float.equal em means);
-      check_bool "stds bit-identical" true (Array.for_all2 Float.equal es stds))
-    [ 1; 4; 11; 32 ]
+      check_bits "predict_with_std means" rm em;
+      check_bits "predict_with_std stds" rs es;
+      check_bits "predict_with_std_into means" rm means;
+      check_bits "predict_with_std_into stds" rs stds)
+    [ 1; 2; 3; 4; 11; 32 ]
+
+(* A query's std must not depend on its neighbours: the kernel takes
+   rows four at a time and a short last block repeats its last row, so
+   the query served alone is compared with the same query at every
+   position in a batch of 0-9 other rows. *)
+let std_position_property =
+  let prng = Stats.Rng.create 4242 in
+  let s = make_synth ~rng:prng ~k:24 ~r:10 () in
+  let p = Serving.Predictor.of_artifact (artifact_of s) in
+  let r = Polybasis.Basis.dim s.basis in
+  let scratch = Serving.Predictor.Scratch.create ~capacity:1 p in
+  let serve xs =
+    let n = Linalg.Mat.rows xs in
+    let means = Array.make n nan and stds = Array.make n nan in
+    Serving.Predictor.predict_with_std_into p ~scratch xs ~means ~stds;
+    (means, stds)
+  in
+  QCheck.Test.make ~name:"std bits independent of batch position" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          pair (int_range 0 9) (int_range 0 9) >>= fun (others, pos) ->
+          pair
+            (return (others, pos mod (others + 1)))
+            (array_size (return ((others + 1) * r)) (float_range (-3.) 3.))))
+    (fun ((others, pos), data) ->
+      let row i = Array.sub data (i * r) r in
+      let alone = Linalg.Mat.of_rows [ row 0 ] in
+      (* the query (row 0 of [data]) lands at [pos]; rows 1.. fill the
+         other places in order *)
+      let batch =
+        Linalg.Mat.of_rows
+          (List.init (others + 1) (fun i ->
+               if i = pos then row 0 else if i < pos then row (i + 1)
+               else row i))
+      in
+      let am, astd = serve alone in
+      let bm, bstd = serve batch in
+      let pm, pstd = Serving.Predictor.predict_with_std p batch in
+      Float.equal am.(0) bm.(pos)
+      && Float.equal astd.(0) bstd.(pos)
+      && Float.equal am.(0) pm.(pos)
+      && Float.equal astd.(0) pstd.(pos))
+
+(* The pool path at one lane and at eight: at n = 33 and 50 the lane
+   chunks (grain 16) start at rows 17 and 34, off a multiple of four.
+   Both must equal the reference. *)
+let test_predict_with_std_lanes () =
+  let lrng = Stats.Rng.create 5150 in
+  let s = make_synth ~rng:lrng ~k:24 ~r:10 () in
+  let a = artifact_of s in
+  let p = Serving.Predictor.of_artifact a in
+  let at jobs q =
+    Parallel.Pool.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.set_default_jobs 0)
+      (fun () -> Serving.Predictor.predict_with_std p q)
+  in
+  List.iter
+    (fun n ->
+      let q = queries ~rng:lrng s n in
+      let rm, rs = reference_predict a q in
+      let m1, s1 = at 1 q and m8, s8 = at 8 q in
+      let tag = Printf.sprintf "n=%d" n in
+      check_bits (tag ^ " -j 1 means") rm m1;
+      check_bits (tag ^ " -j 1 stds") rs s1;
+      check_bits (tag ^ " -j 8 means") rm m8;
+      check_bits (tag ^ " -j 8 stds") rs s8)
+    [ 33; 50 ]
 
 let test_scratch_misuse_rejected () =
   let s = make_synth ~k:10 ~r:6 () in
@@ -802,34 +955,40 @@ let test_scratch_misuse_rejected () =
 let test_predict_allocation_gate () =
   let s = make_synth ~k:30 ~r:12 () in
   let p = Serving.Predictor.of_artifact (artifact_of s) in
-  let batch = 64 in
-  let scratch = Serving.Predictor.Scratch.create ~capacity:batch p in
-  let q = queries s batch in
-  let means = Array.make batch 0. and stds = Array.make batch 0. in
-  (* warm-up: fault in any lazy state *)
-  for _ = 1 to 3 do
-    Serving.Predictor.predict_with_std_into p ~scratch q ~means ~stds
-  done;
-  let calls = 50 in
-  let before = Gc.minor_words () in
-  for _ = 1 to calls do
-    Serving.Predictor.predict_with_std_into p ~scratch q ~means ~stds
-  done;
-  let words = Gc.minor_words () -. before in
-  let per_call = words /. float_of_int calls in
-  if per_call > 64. then
-    Alcotest.failf
-      "predict allocates %.1f minor words per %d-point call (budget 64)"
-      per_call batch;
-  (* and the means-only path is at least as tight *)
-  let before = Gc.minor_words () in
-  for _ = 1 to calls do
-    Serving.Predictor.predict_into p ~scratch q ~means
-  done;
-  let words = Gc.minor_words () -. before in
-  let per_call = words /. float_of_int calls in
-  if per_call > 64. then
-    Alcotest.failf "predict_into allocates %.1f minor words per call" per_call
+  let scratch = Serving.Predictor.Scratch.create ~capacity:64 p in
+  let q64 = queries s 64 in
+  (* 64 rows are whole blocks of four; 1 and 7 end in a padded block *)
+  List.iter
+    (fun batch ->
+      let q = Linalg.Mat.of_rows (List.init batch (Linalg.Mat.row q64)) in
+      let means = Array.make batch 0. and stds = Array.make batch 0. in
+      (* warm-up: fault in any lazy state *)
+      for _ = 1 to 3 do
+        Serving.Predictor.predict_with_std_into p ~scratch q ~means ~stds
+      done;
+      let calls = 50 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        Serving.Predictor.predict_with_std_into p ~scratch q ~means ~stds
+      done;
+      let words = Gc.minor_words () -. before in
+      let per_call = words /. float_of_int calls in
+      if per_call > 64. then
+        Alcotest.failf
+          "predict allocates %.1f minor words per %d-point call (budget 64)"
+          per_call batch;
+      (* and the means-only path is at least as tight *)
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        Serving.Predictor.predict_into p ~scratch q ~means
+      done;
+      let words = Gc.minor_words () -. before in
+      let per_call = words /. float_of_int calls in
+      if per_call > 64. then
+        Alcotest.failf
+          "predict_into allocates %.1f minor words per %d-point call" per_call
+          batch)
+    [ 64; 1; 7 ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden fingerprints, captured from the seed float-array kernels
@@ -899,6 +1058,28 @@ let test_golden_fingerprints () =
     (golden_fp means');
   check_string "predict_with_std_into stds golden" "a472e06c71b78662"
     (golden_fp stds');
+  (* the first 1, 3 and 7 queries: batches that end in a short block of
+     the four-row variance kernel (captured from the per-query kernel
+     that came before it) *)
+  List.iter
+    (fun (n, fp_means, fp_stds) ->
+      let qn = Linalg.Mat.of_rows (List.init n (Linalg.Mat.row q)) in
+      let means, stds = Serving.Predictor.predict_with_std p qn in
+      check_string (Printf.sprintf "first %d queries: means" n) fp_means
+        (golden_fp means);
+      check_string (Printf.sprintf "first %d queries: stds" n) fp_stds
+        (golden_fp stds);
+      Serving.Predictor.predict_with_std_into p ~scratch qn ~means:means'
+        ~stds:stds';
+      check_string
+        (Printf.sprintf "first %d queries: predict_with_std_into stds" n)
+        fp_stds
+        (golden_fp (Array.sub stds' 0 n)))
+    [
+      (1, "0256d2ecaf59ff08", "b1c78b1feb83a4b2");
+      (3, "e65c0185811b2025", "123971633adbfdfb");
+      (7, "4757f381560e6b57", "c7078c44426b0599");
+    ];
   (* incremental trajectory: 4 batches of 8, then re-serialization *)
   let inc = Serving.Incremental.of_artifact a in
   let expected_steps =
@@ -937,6 +1118,8 @@ let () =
         [
           Alcotest.test_case "of_fit = solver" `Quick
             test_of_fit_matches_solver;
+          Alcotest.test_case "fnv64 known answers, O(1) words" `Quick
+            test_fnv64;
           Alcotest.test_case "json round-trip" `Quick test_roundtrip_json;
           Alcotest.test_case "binary round-trip" `Quick test_roundtrip_binary;
           Alcotest.test_case "binary corruption" `Quick
@@ -1002,6 +1185,9 @@ let () =
             `Quick test_predict_with_std_into_matches;
           Alcotest.test_case "scratch misuse rejected" `Quick
             test_scratch_misuse_rejected;
+          Alcotest.test_case "predict_with_std at -j 1 = -j 8" `Quick
+            test_predict_with_std_lanes;
+          QCheck_alcotest.to_alcotest std_position_property;
         ] );
       ( "alloc-gate",
         [
