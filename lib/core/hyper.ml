@@ -230,7 +230,7 @@ let select_evidence ?noise_candidates ?scale_candidates ~g ~f ~prior () =
         (fun scale ->
           let le = log_evidence_with ~b ~r ~noise ~scale in
           match !best with
-          | Some (_, _, best_le) when le <= best_le -> ()
+          | Some (_, _, top) when le <= top -> ()
           | _ -> best := Some (noise, scale, le))
         scale_candidates)
     noise_candidates;

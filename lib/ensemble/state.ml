@@ -104,127 +104,59 @@ let validate t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Binary codec, mirroring the Serving.Artifact conventions:
+(* Binary codec: [magic "BMFENS01" | u64 fnv64(payload) | payload] in
+   Serving.Codec's envelope, the payload [name | occam | count |
+   members], each member its model key then [log_prior | log_ev | count]. *)
 
-     magic "BMFENS01" | u64 fnv64 checksum of payload | payload
-
-   with ints as little-endian i64, floats as IEEE bits and strings
-   length-prefixed. *)
+module Codec = Serving.Codec
 
 let magic = "BMFENS01"
 
-let put_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let payload_to_binary t =
-  let buf = Buffer.create (64 + (64 * Array.length t.members)) in
-  put_string buf t.name;
-  put_float buf t.occam;
-  put_int buf (Array.length t.members);
-  Array.iter
-    (fun m ->
-      put_string buf m.meta.Serving.Artifact.circuit;
-      put_string buf m.meta.Serving.Artifact.metric;
-      put_string buf m.meta.Serving.Artifact.scale;
-      put_int buf m.meta.Serving.Artifact.seed;
-      put_float buf m.log_prior;
-      put_float buf m.log_ev;
-      put_int buf m.count)
-    t.members;
-  Buffer.contents buf
-
 let to_binary_string t =
-  let payload = payload_to_binary t in
-  let buf = Buffer.create (String.length payload + 16) in
-  Buffer.add_string buf magic;
-  Buffer.add_int64_le buf (Serving.Artifact.fnv64 payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
-
-exception Short of string
-
-type reader = { data : string; mutable at : int }
-
-let take rd n =
-  if n < 0 || rd.at + n > String.length rd.data then
-    raise (Short "truncated payload");
-  let at = rd.at in
-  rd.at <- rd.at + n;
-  at
-
-let get_int rd = Int64.to_int (String.get_int64_le rd.data (take rd 8))
-
-let get_float rd = Int64.float_of_bits (String.get_int64_le rd.data (take rd 8))
-
-let get_string rd =
-  let n = get_int rd in
-  if n < 0 then raise (Short "negative length");
-  String.sub rd.data (take rd n) n
+  let size = 256 + String.length t.name + (128 * Array.length t.members) in
+  Codec.sealed ~magic ~size (fun w ->
+      Codec.put_string w t.name;
+      Codec.put_float w t.occam;
+      Codec.put_int w (Array.length t.members);
+      Array.iter
+        (fun m ->
+          Serving.Artifact.write_meta w m.meta;
+          Codec.put_float w m.log_prior;
+          Codec.put_float w m.log_ev;
+          Codec.put_int w m.count)
+        t.members)
 
 let of_binary_string s =
-  if String.length s < String.length magic + 8 then
-    Error "ensemble: truncated file"
-  else if not (String.equal (String.sub s 0 (String.length magic)) magic) then
-    Error "ensemble: bad magic"
-  else begin
-    let stored = String.get_int64_le s (String.length magic) in
-    let payload_at = String.length magic + 8 in
-    let payload = String.sub s payload_at (String.length s - payload_at) in
-    if not (Int64.equal (Serving.Artifact.fnv64 payload) stored) then
-      Error "ensemble: checksum mismatch (corrupt file)"
-    else
-      try
-        let rd = { data = payload; at = 0 } in
-        let name = get_string rd in
-        let occam = get_float rd in
-        let n = get_int rd in
-        if n < 0 || n > String.length payload / 8 then
-          raise (Short "implausible member count");
+  match
+    Codec.unsealed ~magic ~eof:"truncated payload" s (fun rd ->
+        let name = Codec.get_string rd in
+        let occam = Codec.get_float rd in
+        let n = Codec.get_count rd ~per:8 "implausible member count" in
         let members =
           Array.init n (fun _ ->
-              let circuit = get_string rd in
-              let metric = get_string rd in
-              let scale = get_string rd in
-              let seed = get_int rd in
-              let log_prior = get_float rd in
-              let log_ev = get_float rd in
-              let count = get_int rd in
-              {
-                meta = { Serving.Artifact.circuit; metric; scale; seed };
-                log_prior;
-                log_ev;
-                count;
-              })
+              let meta = Serving.Artifact.read_meta rd in
+              let log_prior = Codec.get_float rd in
+              let log_ev = Codec.get_float rd in
+              let count = Codec.get_int rd in
+              { meta; log_prior; log_ev; count })
         in
-        if rd.at <> String.length payload then Error "ensemble: trailing bytes"
-        else validate { name; occam; members }
-      with Short msg -> Error ("ensemble: " ^ msg)
-  end
+        { name; occam; members })
+  with
+  | Ok t -> validate t
+  | Error e -> Error ("ensemble: " ^ e)
 
 (* ------------------------------------------------------------------ *)
 (* JSON view (ensemble_stats, /health, repro ensemble show). [resolve]
    optionally maps a member meta to its (rev, dim) — the serving side
    resolves through its model cache, the offline CLI through the
-   store. Non-finite evidence follows the artifact codec's convention
-   of string-encoded specials. *)
-
-let jf f =
-  if Float.is_finite f then Serving.Json.Num f
-  else if Float.is_nan f then Serving.Json.Str "nan"
-  else if f > 0. then Serving.Json.Str "inf"
-  else Serving.Json.Str "-inf"
+   store. Non-finite evidence is string-encoded ({!Serving.Json.of_float}). *)
 
 let to_json ?(resolve = fun (_ : Serving.Artifact.meta) -> None) t =
   let ws = weights t in
   Serving.Json.Obj
     [
       ("name", Serving.Json.Str t.name);
-      ("occam", jf t.occam);
+      ("occam", Serving.Json.of_float t.occam);
       ( "members",
         Serving.Json.Arr
           (Array.to_list
@@ -238,10 +170,10 @@ let to_json ?(resolve = fun (_ : Serving.Artifact.meta) -> None) t =
                       ( "seed",
                         Serving.Json.Num
                           (float_of_int m.meta.Serving.Artifact.seed) );
-                      ("log_prior", jf m.log_prior);
-                      ("log_evidence", jf m.log_ev);
+                      ("log_prior", Serving.Json.of_float m.log_prior);
+                      ("log_evidence", Serving.Json.of_float m.log_ev);
                       ("points", Serving.Json.Num (float_of_int m.count));
-                      ("weight", jf ws.(i));
+                      ("weight", Serving.Json.of_float ws.(i));
                     ]
                   in
                   let extra =

@@ -14,7 +14,7 @@ let extension = ".bmfe"
 (* [sanitize] is lossy, so the filename carries a short digest of the
    raw name — same move as the artifact store's key digest. *)
 let name_digest name =
-  String.sub (Printf.sprintf "%016Lx" (Serving.Artifact.fnv64 name)) 0 8
+  String.sub (Serving.Artifact.checksum_hex name) 0 8
 
 let filename name =
   Printf.sprintf "%s__h%s%s" (Serving.Store.sanitize name) (name_digest name)

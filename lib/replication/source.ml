@@ -28,18 +28,12 @@ type 'conn t = { mutable subs : 'conn sub list }
 
 let create () = { subs = [] }
 
-let meta_equal (a : Serving.Artifact.meta) (b : Serving.Artifact.meta) =
-  String.equal a.circuit b.circuit
-  && String.equal a.metric b.metric
-  && String.equal a.scale b.scale
-  && a.seed = b.seed
-
 let plan_catchup ~have ~vector =
   List.filter_map
     (fun (a : Serving.Artifact.t) ->
       let follower_rev =
         List.find_map
-          (fun (m, rev) -> if meta_equal m a.meta then Some rev else None)
+          (fun (m, rev) -> if m = a.meta then Some rev else None)
           vector
       in
       match follower_rev with

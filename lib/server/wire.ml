@@ -8,10 +8,13 @@
    entry) can join a distributed trace. Decoders accept both, so a v1
    peer keeps working against a v2 daemon and vice versa.
 
-   Body primitives match the Artifact binary codec: i64 ints, IEEE-754
-   floats, length-prefixed strings and float arrays. Every decoder
-   bounds-checks against the actual bytes received before allocating,
-   so advertised lengths can never drive allocation. *)
+   Header and bodies are written and read with Serving.Codec: i64 ints,
+   IEEE-754 floats, length-prefixed strings and float arrays, and
+   matrices as [rows | cols | floats]. Every decoder bounds-checks
+   against the actual bytes received before allocating or looping, so
+   advertised lengths can never drive allocation or work. *)
+
+module Codec = Serving.Codec
 
 let version = 2
 
@@ -83,20 +86,12 @@ let opcode_byte = function
   | Predict_ensemble -> 11
   | Ensemble_stats -> 12
 
-let opcode_of_byte = function
-  | 1 -> Some Ping
-  | 2 -> Some Predict
-  | 3 -> Some Predict_var
-  | 4 -> Some Update
-  | 5 -> Some List_models
-  | 6 -> Some Stats
-  | 7 -> Some Subscribe
-  | 8 -> Some Repl_ack
-  | 9 -> Some Promote
-  | 10 -> Some Events
-  | 11 -> Some Predict_ensemble
-  | 12 -> Some Ensemble_stats
-  | _ -> None
+(* The inverse of [opcode_byte], so each byte is assigned once. *)
+let opcode_of_byte b =
+  List.find_opt
+    (fun op -> opcode_byte op = b)
+    [ Ping; Predict; Predict_var; Update; List_models; Stats; Subscribe;
+      Repl_ack; Promote; Events; Predict_ensemble; Ensemble_stats ]
 
 type request =
   | Ping_req
@@ -163,16 +158,11 @@ let error_byte = function
   | Protocol -> 7
   | Not_leader -> 8
 
-let error_of_byte = function
-  | 1 -> Some Busy
-  | 2 -> Some Deadline_exceeded
-  | 3 -> Some Model_not_found
-  | 4 -> Some Bad_request
-  | 5 -> Some Internal
-  | 6 -> Some Shutting_down
-  | 7 -> Some Protocol
-  | 8 -> Some Not_leader
-  | _ -> None
+let error_of_byte b =
+  List.find_opt
+    (fun code -> error_byte code = b)
+    [ Busy; Deadline_exceeded; Model_not_found; Bad_request; Internal;
+      Shutting_down; Protocol; Not_leader ]
 
 type error = { code : error_code; message : string }
 
@@ -239,81 +229,18 @@ let is_push_kind k = k >= 32 && k <= 35
 let max_snapshot_chunk = max_frame_len - header_len_v2 - 4096
 
 (* ------------------------------------------------------------------ *)
-(* Body primitives.                                                    *)
+(* Body helpers.                                                       *)
 
-let put_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
+let write_mat w m =
+  Codec.put_int w (Linalg.Mat.rows m);
+  Codec.put_int w (Linalg.Mat.cols m);
+  Codec.put_mat w m
 
-let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let put_floats buf arr =
-  put_int buf (Array.length arr);
-  Array.iter (put_float buf) arr
-
-let put_meta buf (m : Serving.Artifact.meta) =
-  put_string buf m.circuit;
-  put_string buf m.metric;
-  put_string buf m.scale;
-  put_int buf m.seed
-
-let put_mat buf (m : Linalg.Mat.t) =
-  put_int buf (Linalg.Mat.rows m);
-  put_int buf (Linalg.Mat.cols m);
-  let d = Linalg.Mat.data m in
-  for i = 0 to (Linalg.Mat.rows m * Linalg.Mat.cols m) - 1 do
-    put_float buf (Bigarray.Array1.unsafe_get d i)
-  done
-
-exception Short of string
-
-type reader = { data : string; mutable at : int }
-
-let take rd n =
-  (* [String.length rd.data - rd.at] never overflows ([rd.at] is a valid
-     offset), whereas [rd.at + n] wraps for n near max_int *)
-  if n < 0 || n > String.length rd.data - rd.at then
-    raise (Short "truncated body");
-  let at = rd.at in
-  rd.at <- rd.at + n;
-  at
-
-let get_int rd = Int64.to_int (String.get_int64_le rd.data (take rd 8))
-
-let get_float rd = Int64.float_of_bits (String.get_int64_le rd.data (take rd 8))
-
-let get_string rd =
-  let n = get_int rd in
-  if n < 0 then raise (Short "negative string length");
-  String.sub rd.data (take rd n) n
-
-let get_floats rd what =
-  let n = get_int rd in
-  if n < 0 || n > (String.length rd.data - rd.at) / 8 then
-    raise (Short ("implausible " ^ what ^ " length"));
-  Array.init n (fun _ -> get_float rd)
-
-let get_meta rd =
-  let circuit = get_string rd in
-  let metric = get_string rd in
-  let scale = get_string rd in
-  let seed = get_int rd in
-  { Serving.Artifact.circuit; metric; scale; seed }
-
-let get_mat rd what =
-  let rows = get_int rd in
-  let cols = get_int rd in
-  if rows < 0 || cols < 0 then raise (Short ("negative " ^ what ^ " dims"));
-  if
-    cols > 0
-    && rows > (String.length rd.data - rd.at) / 8 / (Stdlib.max 1 cols)
-  then raise (Short ("implausible " ^ what ^ " size"));
-  Linalg.Mat.init rows cols (fun _ _ -> get_float rd)
-
-let finished rd =
-  if rd.at <> String.length rd.data then raise (Short "trailing bytes")
+let read_mat rd what =
+  let rows = Codec.get_int rd in
+  let cols = Codec.get_int rd in
+  if rows < 0 || cols < 0 then raise (Codec.Short ("negative " ^ what ^ " dims"));
+  Codec.get_mat rd what rows cols
 
 (* ------------------------------------------------------------------ *)
 (* Framing.                                                            *)
@@ -323,8 +250,10 @@ let finished rd =
    uninstrumented fleet keeps producing byte-identical v1 streams and
    both header layouts stay exercised. [~ver:2] forces the v2 header
    even with a zero context (push frames, whose v2 bodies carry
-   timestamps regardless of tracing). *)
-let frame ?ver ?trace ~kind ~id ~deadline_ms body =
+   timestamps regardless of tracing). The header and [write]'s body go
+   into one buffer, first sized for [size] body bytes (a reply's hint);
+   the length word is filled in last. *)
+let frame ?ver ?trace ~kind ~id ~deadline_ms ?(size = 256) write =
   if id < 0 then invalid_arg "Wire: negative request id";
   if deadline_ms < 0 then invalid_arg "Wire: negative deadline";
   let trace_id, span_id = match trace with Some t -> t | None -> (0, 0) in
@@ -340,21 +269,21 @@ let frame ?ver ?trace ~kind ~id ~deadline_ms body =
         v
     | None -> if trace_id <> 0 || span_id <> 0 then 2 else 1
   in
-  let hlen = if v = 1 then header_len else header_len_v2 in
-  let n = hlen + String.length body in
-  if n > max_frame_len then invalid_arg "Wire: frame exceeds max_frame_len";
-  let buf = Buffer.create (4 + n) in
-  Buffer.add_int32_le buf (Int32.of_int n);
-  Buffer.add_uint8 buf v;
-  Buffer.add_uint8 buf kind;
-  Buffer.add_int64_le buf (Int64.of_int id);
-  Buffer.add_int32_le buf (Int32.of_int deadline_ms);
+  let w = Codec.writer (4 + header_len_v2 + size) in
+  let len_at = Codec.skip w 4 in
+  Codec.put_u8 w v;
+  Codec.put_u8 w kind;
+  Codec.put_int w id;
+  Codec.put_int32 w deadline_ms;
   if v >= 2 then begin
-    Buffer.add_int64_le buf (Int64.of_int trace_id);
-    Buffer.add_int64_le buf (Int64.of_int span_id)
+    Codec.put_int w trace_id;
+    Codec.put_int w span_id
   end;
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  write w;
+  let n = Codec.length w - 4 in
+  if n > max_frame_len then invalid_arg "Wire: frame exceeds max_frame_len";
+  Codec.set_int32 w len_at n;
+  Codec.contents w
 
 type frame = {
   frame_version : int;
@@ -370,37 +299,37 @@ let peek s ~off =
   let have = String.length s - off in
   if have < 4 then `Need (4 - have)
   else begin
-    let n = Int32.to_int (String.get_int32_le s off) in
+    let rd = Codec.reader ~off s in
+    let n = Codec.get_int32 rd in
     if n < header_len then `Bad (Printf.sprintf "frame length %d too small" n)
     else if n > max_frame_len then
       `Bad (Printf.sprintf "frame length %d exceeds limit %d" n max_frame_len)
     else if have < 4 + n then `Need (4 + n - have)
     else begin
-      let v = Char.code s.[off + 4] in
+      let v = Codec.get_u8 rd in
       if v < min_version || v > version then
         `Bad (Printf.sprintf "unsupported version %d" v)
       else if v >= 2 && n < header_len_v2 then
         `Bad (Printf.sprintf "v2 frame length %d too small" n)
       else begin
-        let frame_kind = Char.code s.[off + 5] in
-        let frame_id = Int64.to_int (String.get_int64_le s (off + 6)) in
+        let frame_kind = Codec.get_u8 rd in
+        let frame_id = try Codec.get_int rd with Codec.Short _ -> -1 in
         if frame_id < 0 then
           (* a u64 id with the top bits set; we could never echo it back
              ([frame] refuses negative ids), so refuse the stream *)
           `Bad "request id exceeds the representable range"
         else begin
-          let frame_deadline_ms =
-            Int32.to_int (String.get_int32_le s (off + 14))
-          in
+          let frame_deadline_ms = Codec.get_int32 rd in
           (* Trace context is advisory: a u64 that does not fit the
              positive int range (garbage, or a foreign id scheme) is
              dropped to 0 rather than poisoning the stream. *)
-          let u64_or_zero at =
-            let x = Int64.to_int (String.get_int64_le s at) in
-            if x < 0 then 0 else x
+          let u64_or_zero () =
+            match Codec.get_int rd with
+            | x when x >= 0 -> x
+            | _ | (exception Codec.Short _) -> 0
           in
-          let frame_trace = if v >= 2 then u64_or_zero (off + 18) else 0 in
-          let frame_span = if v >= 2 then u64_or_zero (off + 26) else 0 in
+          let frame_trace = if v >= 2 then u64_or_zero () else 0 in
+          let frame_span = if v >= 2 then u64_or_zero () else 0 in
           let hlen = if v >= 2 then header_len_v2 else header_len in
           let body = String.sub s (off + 4 + hlen) (n - hlen) in
           `Frame
@@ -423,211 +352,199 @@ let peek s ~off =
 (* Requests.                                                           *)
 
 let encode_request ~id ?(deadline_ms = 0) ?trace req =
-  let buf = Buffer.create 256 in
-  (match req with
-  | Ping_req | List_models_req | Stats_req | Promote_req | Events_req -> ()
-  | Predict_req { meta; points; _ } ->
-      put_meta buf meta;
-      put_mat buf points
-  | Update_req { meta; xs; f } ->
-      put_meta buf meta;
-      put_mat buf xs;
-      put_floats buf f
-  | Subscribe_req { vector } ->
-      put_int buf (List.length vector);
-      List.iter
-        (fun (m, rev) ->
-          put_meta buf m;
-          put_int buf rev)
-        vector
-  | Repl_ack_req { seq } -> put_int buf seq
-  | Predict_ensemble_req { name; points } ->
-      put_string buf name;
-      put_mat buf points
-  | Ensemble_stats_req { name } -> put_string buf name);
   frame ?trace
     ~kind:(opcode_byte (opcode_of_request req))
-    ~id ~deadline_ms (Buffer.contents buf)
+    ~id ~deadline_ms
+    (fun w ->
+      match req with
+      | Ping_req | List_models_req | Stats_req | Promote_req | Events_req -> ()
+      | Predict_req { meta; points; _ } ->
+          Serving.Artifact.write_meta w meta;
+          write_mat w points
+      | Update_req { meta; xs; f } ->
+          Serving.Artifact.write_meta w meta;
+          write_mat w xs;
+          Codec.put_floats w f
+      | Subscribe_req { vector } ->
+          Codec.put_int w (List.length vector);
+          List.iter
+            (fun (m, rev) ->
+              Serving.Artifact.write_meta w m;
+              Codec.put_int w rev)
+            vector
+      | Repl_ack_req { seq } -> Codec.put_int w seq
+      | Predict_ensemble_req { name; points } ->
+          Codec.put_string w name;
+          write_mat w points
+      | Ensemble_stats_req { name } -> Codec.put_string w name)
+
+let parse_body f read = Codec.parse ~eof:"truncated body" f.body read
 
 let decode_request f =
   match opcode_of_byte f.frame_kind with
   | None -> Stdlib.Error (Printf.sprintf "unknown opcode %d" f.frame_kind)
-  | Some op -> (
-      let rd = { data = f.body; at = 0 } in
-      try
-        let req =
+  | Some op ->
+      Result.map_error
+        (fun msg -> opcode_name op ^ ": " ^ msg)
+        (parse_body f (fun rd ->
           match op with
           | Ping -> Ping_req
           | List_models -> List_models_req
           | Stats -> Stats_req
           | Predict | Predict_var ->
-              let meta = get_meta rd in
-              let points = get_mat rd "points" in
+              let meta = Serving.Artifact.read_meta rd in
+              let points = read_mat rd "points" in
               Predict_req { meta; points; with_std = op = Predict_var }
           | Update ->
-              let meta = get_meta rd in
-              let xs = get_mat rd "xs" in
-              let f = get_floats rd "f" in
+              let meta = Serving.Artifact.read_meta rd in
+              let xs = read_mat rd "xs" in
+              let f = Codec.get_floats rd "f" in
               if Array.length f <> Linalg.Mat.rows xs then
-                raise (Short "xs/f row count mismatch");
+                raise (Codec.Short "xs/f row count mismatch");
               Update_req { meta; xs; f }
           | Subscribe ->
-              let n = get_int rd in
               (* a vector element is at least 40 bytes (three length
                  prefixes + seed + rev), so bound n by the bytes held *)
-              if n < 0 || n > (String.length rd.data - rd.at) / 40 then
-                raise (Short "implausible revision-vector length");
+              let n =
+                Codec.get_count rd ~per:40 "implausible revision-vector length"
+              in
               let vector =
                 List.init n (fun _ ->
-                    let m = get_meta rd in
-                    let rev = get_int rd in
-                    if rev < 0 then raise (Short "negative revision");
+                    let m = Serving.Artifact.read_meta rd in
+                    let rev = Codec.get_int rd in
+                    if rev < 0 then raise (Codec.Short "negative revision");
                     (m, rev))
               in
               Subscribe_req { vector }
           | Repl_ack ->
-              let seq = get_int rd in
-              if seq < 0 then raise (Short "negative sequence");
+              let seq = Codec.get_int rd in
+              if seq < 0 then raise (Codec.Short "negative sequence");
               Repl_ack_req { seq }
           | Promote -> Promote_req
           | Events -> Events_req
           | Predict_ensemble ->
-              let name = get_string rd in
-              let points = get_mat rd "points" in
-              if String.length name = 0 then raise (Short "empty ensemble name");
+              let name = Codec.get_string rd in
+              let points = read_mat rd "points" in
+              if String.length name = 0 then
+                raise (Codec.Short "empty ensemble name");
               Predict_ensemble_req { name; points }
           | Ensemble_stats ->
               (* an empty name means "every ensemble" *)
-              let name = get_string rd in
-              Ensemble_stats_req { name }
-        in
-        finished rd;
-        Ok req
-      with Short msg -> Stdlib.Error (opcode_name op ^ ": " ^ msg))
+              let name = Codec.get_string rd in
+              Ensemble_stats_req { name }))
 
 (* ------------------------------------------------------------------ *)
 (* Responses.                                                          *)
 
 let encode_response ~id resp =
-  let buf = Buffer.create 256 in
-  let kind =
+  let kind = match resp with Error { code; _ } -> error_byte code | _ -> 0 in
+  let size =
     match resp with
-    | Pong -> 0
-    | Predicted { means; stds } ->
-        put_floats buf means;
-        (match stds with
-        | None -> Buffer.add_uint8 buf 0
-        | Some stds ->
-            Buffer.add_uint8 buf 1;
-            put_floats buf stds);
-        0
-    | Updated { rev; samples } ->
-        put_int buf rev;
-        put_int buf samples;
-        0
-    | Models infos ->
-        put_int buf (List.length infos);
-        List.iter
-          (fun i ->
-            put_meta buf i.meta;
-            put_int buf i.rev;
-            put_int buf i.samples;
-            put_int buf i.terms;
-            put_int buf i.dim;
-            put_string buf i.file;
-            put_int buf i.bytes)
-          infos;
-        0
-    | Stats_payload
-        {
-          uptime_s;
-          requests;
-          recovered_updates;
-          role;
-          journal_seq;
-          shards;
-          metrics_json;
-        } ->
-        put_float buf uptime_s;
-        put_float buf recovered_updates;
-        put_float buf requests;
-        put_string buf role;
-        put_int buf journal_seq;
-        put_int buf shards;
-        put_string buf metrics_json;
-        0
-    | Promoted { was_follower; journal_seq } ->
-        put_int buf (if was_follower then 1 else 0);
-        put_int buf journal_seq;
-        0
-    | Events_payload { json } ->
-        put_string buf json;
-        0
-    | Ensemble_predicted { means; within; between } ->
-        put_floats buf means;
-        put_floats buf within;
-        put_floats buf between;
-        0
-    | Ensemble_stats_payload { json } ->
-        put_string buf json;
-        0
-    | Error { code; message } ->
-        put_string buf message;
-        error_byte code
+    | Predicted { means; _ } | Ensemble_predicted { means; _ } ->
+        64 + (24 * Array.length means)
+    | _ -> 256
   in
-  frame ~kind ~id ~deadline_ms:0 (Buffer.contents buf)
+  frame ~kind ~id ~deadline_ms:0 ~size (fun w ->
+      match resp with
+      | Pong -> ()
+      | Predicted { means; stds } -> (
+          Codec.put_floats w means;
+          match stds with
+          | None -> Codec.put_bool w false
+          | Some stds ->
+              Codec.put_bool w true;
+              Codec.put_floats w stds)
+      | Updated { rev; samples } ->
+          Codec.put_int w rev;
+          Codec.put_int w samples
+      | Models infos ->
+          Codec.put_int w (List.length infos);
+          List.iter
+            (fun i ->
+              Serving.Artifact.write_meta w i.meta;
+              Codec.put_int w i.rev;
+              Codec.put_int w i.samples;
+              Codec.put_int w i.terms;
+              Codec.put_int w i.dim;
+              Codec.put_string w i.file;
+              Codec.put_int w i.bytes)
+            infos
+      | Stats_payload
+          {
+            uptime_s;
+            requests;
+            recovered_updates;
+            role;
+            journal_seq;
+            shards;
+            metrics_json;
+          } ->
+          Codec.put_float w uptime_s;
+          Codec.put_float w recovered_updates;
+          Codec.put_float w requests;
+          Codec.put_string w role;
+          Codec.put_int w journal_seq;
+          Codec.put_int w shards;
+          Codec.put_string w metrics_json
+      | Promoted { was_follower; journal_seq } ->
+          Codec.put_int w (if was_follower then 1 else 0);
+          Codec.put_int w journal_seq
+      | Events_payload { json } | Ensemble_stats_payload { json } ->
+          Codec.put_string w json
+      | Ensemble_predicted { means; within; between } ->
+          Codec.put_floats w means;
+          Codec.put_floats w within;
+          Codec.put_floats w between
+      | Error { message; _ } -> Codec.put_string w message)
 
 let decode_response ~expect f =
   if f.frame_kind <> 0 then
     match error_of_byte f.frame_kind with
     | None ->
         Stdlib.Error (Printf.sprintf "unknown response kind %d" f.frame_kind)
-    | Some code -> (
-        let rd = { data = f.body; at = 0 } in
-        try
-          let message = get_string rd in
-          finished rd;
-          Ok (Error { code; message })
-        with Short msg -> Stdlib.Error ("error frame: " ^ msg))
+    | Some code ->
+        Result.map_error
+          (fun msg -> "error frame: " ^ msg)
+          (parse_body f (fun rd -> Error { code; message = Codec.get_string rd }))
   else
-    let rd = { data = f.body; at = 0 } in
-    try
-      let resp =
+    Result.map_error
+      (fun msg -> opcode_name expect ^ " response: " ^ msg)
+      (parse_body f (fun rd ->
         match expect with
         | Ping -> Pong
         | Predict | Predict_var ->
-            let means = get_floats rd "means" in
-            let has_std = Char.code f.body.[take rd 1] <> 0 in
-            let stds = if has_std then Some (get_floats rd "stds") else None in
+            let means = Codec.get_floats rd "means" in
+            let stds =
+              if Codec.get_bool rd then Some (Codec.get_floats rd "stds")
+              else None
+            in
             Predicted { means; stds }
         | Update ->
-            let rev = get_int rd in
-            let samples = get_int rd in
+            let rev = Codec.get_int rd in
+            let samples = Codec.get_int rd in
             Updated { rev; samples }
         | List_models ->
-            let n = get_int rd in
-            if n < 0 || n > String.length f.body then
-              raise (Short "implausible model count");
+            let n = Codec.get_count rd ~per:1 "implausible model count" in
             let infos =
               List.init n (fun _ ->
-                  let meta = get_meta rd in
-                  let rev = get_int rd in
-                  let samples = get_int rd in
-                  let terms = get_int rd in
-                  let dim = get_int rd in
-                  let file = get_string rd in
-                  let bytes = get_int rd in
+                  let meta = Serving.Artifact.read_meta rd in
+                  let rev = Codec.get_int rd in
+                  let samples = Codec.get_int rd in
+                  let terms = Codec.get_int rd in
+                  let dim = Codec.get_int rd in
+                  let file = Codec.get_string rd in
+                  let bytes = Codec.get_int rd in
                   { meta; rev; samples; terms; dim; file; bytes })
             in
             Models infos
         | Stats ->
-            let uptime_s = get_float rd in
-            let recovered_updates = get_float rd in
-            let requests = get_float rd in
-            let role = get_string rd in
-            let journal_seq = get_int rd in
-            let shards = get_int rd in
-            let metrics_json = get_string rd in
+            let uptime_s = Codec.get_float rd in
+            let recovered_updates = Codec.get_float rd in
+            let requests = Codec.get_float rd in
+            let role = Codec.get_string rd in
+            let journal_seq = Codec.get_int rd in
+            let shards = Codec.get_int rd in
+            let metrics_json = Codec.get_string rd in
             Stats_payload
               {
                 uptime_s;
@@ -639,33 +556,29 @@ let decode_response ~expect f =
                 metrics_json;
               }
         | Promote ->
-            let was_follower = get_int rd <> 0 in
-            let journal_seq = get_int rd in
+            let was_follower = Codec.get_int rd <> 0 in
+            let journal_seq = Codec.get_int rd in
             Promoted { was_follower; journal_seq }
         | Events ->
-            let json = get_string rd in
+            let json = Codec.get_string rd in
             Events_payload { json }
         | Predict_ensemble ->
-            let means = get_floats rd "means" in
-            let within = get_floats rd "within" in
-            let between = get_floats rd "between" in
+            let means = Codec.get_floats rd "means" in
+            let within = Codec.get_floats rd "within" in
+            let between = Codec.get_floats rd "between" in
             if
               Array.length within <> Array.length means
               || Array.length between <> Array.length means
-            then raise (Short "variance array length mismatch");
+            then raise (Codec.Short "variance array length mismatch");
             Ensemble_predicted { means; within; between }
         | Ensemble_stats ->
-            let json = get_string rd in
+            let json = Codec.get_string rd in
             Ensemble_stats_payload { json }
         | Subscribe | Repl_ack ->
             (* subscribe is answered by pushes on the same stream and
                repl_ack is fire-and-forget; only error frames (handled
                above) are legal replies *)
-            raise (Short "no success response defined")
-      in
-      finished rd;
-      Ok resp
-    with Short msg -> Stdlib.Error (opcode_name expect ^ " response: " ^ msg)
+            raise (Codec.Short "no success response defined")))
 
 (* ------------------------------------------------------------------ *)
 (* Pushes.                                                             *)
@@ -676,33 +589,30 @@ let decode_response ~expect f =
    [Journal_entry] with the originating update's context so the
    follower's apply span joins the client's trace. *)
 let encode_push ?trace p =
-  let buf = Buffer.create 256 in
-  (match p with
-  | Snapshot_chunk { meta; rev; total; offset; data } ->
-      put_meta buf meta;
-      put_int buf rev;
-      put_int buf total;
-      put_int buf offset;
-      put_string buf data
-  | Journal_entry { seq; ts; entry } ->
-      put_int buf seq;
-      put_float buf ts;
-      put_string buf entry
-  | Repl_status { seq; snapshots; ts } ->
-      put_int buf seq;
-      put_int buf snapshots;
-      put_float buf ts
-  | Repl_heartbeat { seq; ts } ->
-      put_int buf seq;
-      put_float buf ts);
-  frame ~ver:2 ?trace ~kind:(push_byte p) ~id:0 ~deadline_ms:0
-    (Buffer.contents buf)
+  frame ~ver:2 ?trace ~kind:(push_byte p) ~id:0 ~deadline_ms:0 (fun w ->
+      match p with
+      | Snapshot_chunk { meta; rev; total; offset; data } ->
+          Serving.Artifact.write_meta w meta;
+          Codec.put_int w rev;
+          Codec.put_int w total;
+          Codec.put_int w offset;
+          Codec.put_string w data
+      | Journal_entry { seq; ts; entry } ->
+          Codec.put_int w seq;
+          Codec.put_float w ts;
+          Codec.put_string w entry
+      | Repl_status { seq; snapshots; ts } ->
+          Codec.put_int w seq;
+          Codec.put_int w snapshots;
+          Codec.put_float w ts
+      | Repl_heartbeat { seq; ts } ->
+          Codec.put_int w seq;
+          Codec.put_float w ts)
 
 (* v1 peers encoded [Journal_entry] as [seq | entry] and [Repl_status]
    as [seq | snapshots] — no timestamp. Decode both layouts, keyed on
    the frame version, with [ts = 0.] standing in for "unknown". *)
 let decode_push f =
-  let rd = { data = f.body; at = 0 } in
   let what =
     match f.frame_kind with
     | 32 -> "snapshot_chunk"
@@ -711,40 +621,38 @@ let decode_push f =
     | 35 -> "repl_heartbeat"
     | k -> Printf.sprintf "push kind %d" k
   in
-  try
-    let p =
+  Result.map_error
+    (fun msg -> what ^ ": " ^ msg)
+    (parse_body f (fun rd ->
       match f.frame_kind with
       | 32 ->
-          let meta = get_meta rd in
-          let rev = get_int rd in
-          let total = get_int rd in
-          let offset = get_int rd in
-          let data = get_string rd in
-          if rev < 0 then raise (Short "negative revision");
+          let meta = Serving.Artifact.read_meta rd in
+          let rev = Codec.get_int rd in
+          let total = Codec.get_int rd in
+          let offset = Codec.get_int rd in
+          let data = Codec.get_string rd in
+          if rev < 0 then raise (Codec.Short "negative revision");
           if total < 0 || offset < 0 || offset > total then
-            raise (Short "inconsistent chunk geometry");
+            raise (Codec.Short "inconsistent chunk geometry");
           if offset + String.length data > total then
-            raise (Short "chunk overruns advertised total");
+            raise (Codec.Short "chunk overruns advertised total");
           Snapshot_chunk { meta; rev; total; offset; data }
       | 33 ->
-          let seq = get_int rd in
-          let ts = if f.frame_version >= 2 then get_float rd else 0. in
-          let entry = get_string rd in
-          if seq < 0 then raise (Short "negative sequence");
+          let seq = Codec.get_int rd in
+          let ts = if f.frame_version >= 2 then Codec.get_float rd else 0. in
+          let entry = Codec.get_string rd in
+          if seq < 0 then raise (Codec.Short "negative sequence");
           Journal_entry { seq; ts; entry }
       | 34 ->
-          let seq = get_int rd in
-          let snapshots = get_int rd in
-          let ts = if f.frame_version >= 2 then get_float rd else 0. in
-          if seq < 0 || snapshots < 0 then raise (Short "negative counts");
+          let seq = Codec.get_int rd in
+          let snapshots = Codec.get_int rd in
+          let ts = if f.frame_version >= 2 then Codec.get_float rd else 0. in
+          if seq < 0 || snapshots < 0 then
+            raise (Codec.Short "negative counts");
           Repl_status { seq; snapshots; ts }
       | 35 ->
-          let seq = get_int rd in
-          let ts = get_float rd in
-          if seq < 0 then raise (Short "negative sequence");
+          let seq = Codec.get_int rd in
+          let ts = Codec.get_float rd in
+          if seq < 0 then raise (Codec.Short "negative sequence");
           Repl_heartbeat { seq; ts }
-      | k -> raise (Short (Printf.sprintf "unknown push kind %d" k))
-    in
-    finished rd;
-    Ok p
-  with Short msg -> Stdlib.Error (what ^ ": " ^ msg)
+      | k -> raise (Codec.Short (Printf.sprintf "unknown push kind %d" k))))

@@ -19,11 +19,11 @@
     trace context is attached; pushes always frame as v2 because their
     v2 bodies carry the leader's commit timestamp.
 
-    Bodies reuse the {!Serving.Artifact} binary conventions: ints as
-    little-endian i64, floats as IEEE-754 bits, strings and float arrays
-    length-prefixed. Frames larger than {!max_frame_len} are rejected
-    before any allocation proportional to the advertised length, so a
-    hostile or corrupt peer cannot force an out-of-memory. *)
+    Headers and bodies are written by {!Serving.Codec}; a matrix is
+    [rows | cols | floats]. Frames over {!max_frame_len} are rejected
+    before any allocation, and no count, length or matrix size in a body
+    is believed beyond the bytes received, so a hostile or corrupt peer
+    cannot force an out-of-memory or a long loop. *)
 
 val version : int
 (** Newest protocol version this build speaks (2). *)

@@ -28,31 +28,15 @@ let basis a = Polybasis.Basis.of_terms ~dim:a.basis_dim (Array.to_list a.terms)
 let method_name a = Bmf.Prior.kind_name a.prior.Bmf.Prior.kind
 
 (* ------------------------------------------------------------------ *)
-(* Checksums: FNV-1a 64-bit over the serialized payload. *)
+(* Checksums: FNV-1a 64-bit ({!Codec.fnv64}). *)
 
-(* Row-major flat copy of a matrix (codec input; Mat storage is a
-   Bigarray off the OCaml heap). *)
-let mat_flat (m : Linalg.Mat.t) = Linalg.Mat.to_flat m
+let checksum_hex s = Printf.sprintf "%016Lx" (Codec.fnv64 s 0 (String.length s))
 
-(* A loop, not [String.iter]: the closure would box the Int64
-   accumulator on every byte, where the local ref stays unboxed. *)
-let fnv64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to String.length s - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        prime
-  done;
-  !h
-
-let checksum_hex s = Printf.sprintf "%016Lx" (fnv64 s)
-
+(* The hash of the floats' bytes, after [put_floats]'s 8-byte count. *)
 let fingerprint values =
-  let buf = Buffer.create (8 * Array.length values) in
-  Array.iter (fun v -> Buffer.add_int64_le buf (Int64.bits_of_float v)) values;
-  checksum_hex (Buffer.contents buf)
+  let w = Codec.writer (8 + (8 * Array.length values)) in
+  Codec.put_floats w values;
+  Printf.sprintf "%016Lx" (Codec.fnv64_from w 8)
 
 (* ------------------------------------------------------------------ *)
 (* Capture a fit. The MAP solve is Map_solver's fast path, so the stored
@@ -99,33 +83,6 @@ let of_fit ~meta ?(rev = 0) ~basis ~prior ~hyper ?(cv_error = nan) ~g ~f () =
 (* ------------------------------------------------------------------ *)
 (* Shared (de)serialization helpers. *)
 
-let pack_chol chol =
-  let k = Linalg.Mat.rows chol in
-  let packed = Array.make (k * (k + 1) / 2) 0. in
-  let idx = ref 0 in
-  for i = 0 to k - 1 do
-    for j = 0 to i do
-      packed.(!idx) <- Linalg.Mat.get chol i j;
-      incr idx
-    done
-  done;
-  packed
-
-let unpack_chol k packed =
-  if Array.length packed <> k * (k + 1) / 2 then
-    Error "chol: packed length mismatch"
-  else begin
-    let chol = Linalg.Mat.create k k in
-    let idx = ref 0 in
-    for i = 0 to k - 1 do
-      for j = 0 to i do
-        Linalg.Mat.set chol i j packed.(!idx);
-        incr idx
-      done
-    done;
-    Ok chol
-  end
-
 let kind_to_string = function
   | Bmf.Prior.Zero_mean -> "zero-mean"
   | Bmf.Prior.Nonzero_mean -> "nonzero-mean"
@@ -137,7 +94,7 @@ let kind_of_string = function
 
 (* Structural validation shared by both decoders, so a truncated or
    inconsistent payload is rejected with a message instead of failing
-   deep inside a solve. *)
+   deep inside a solve. Returns the artifact it checked. *)
 let validate a =
   let k, m = Linalg.Mat.dims a.g in
   let check cond msg = if cond then Ok () else Error ("artifact: " ^ msg) in
@@ -159,25 +116,13 @@ let validate a =
       (a.hyper > 0. && Float.is_finite a.hyper)
       "hyper must be positive and finite"
   in
-  check (a.sigma0_sq > 0.) "sigma0_sq must be positive"
+  let* () = check (a.sigma0_sq > 0.) "sigma0_sq must be positive" in
+  Ok a
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec. *)
 
-let fnum f =
-  if Float.is_finite f then Json.Num f
-  else
-    Json.Str
-      (if Float.is_nan f then "nan" else if f > 0. then "inf" else "-inf")
-
-let fnum_back = function
-  | Json.Num f -> Some f
-  | Json.Str "nan" -> Some Float.nan
-  | Json.Str "inf" -> Some Float.infinity
-  | Json.Str "-inf" -> Some Float.neg_infinity
-  | _ -> None
-
-let float_arr values = Json.Arr (Array.to_list (Array.map fnum values))
+let float_arr values = Json.Arr (Array.to_list (Array.map Json.of_float values))
 
 let payload_to_json a =
   let k = num_samples a in
@@ -192,9 +137,9 @@ let payload_to_json a =
             ("seed", Json.Num (float_of_int a.meta.seed));
           ] );
       ("rev", Json.Num (float_of_int a.rev));
-      ("hyper", fnum a.hyper);
-      ("cv_error", fnum a.cv_error);
-      ("sigma0_sq", fnum a.sigma0_sq);
+      ("hyper", Json.of_float a.hyper);
+      ("cv_error", Json.of_float a.cv_error);
+      ("sigma0_sq", Json.of_float a.sigma0_sq);
       ( "basis",
         Json.Obj
           [
@@ -230,9 +175,15 @@ let payload_to_json a =
           ] );
       ("coeffs", float_arr a.coeffs);
       ("samples", Json.Num (float_of_int k));
-      ("g", float_arr (mat_flat a.g));
+      ("g", float_arr (Linalg.Mat.to_flat a.g));
       ("f", float_arr a.f);
-      ("chol", float_arr (pack_chol a.chol));
+      ( "chol",
+        (* the lower triangle, packed row by row *)
+        Json.Arr
+          (List.concat
+             (List.init (Linalg.Mat.rows a.chol) (fun i ->
+                  List.init (i + 1) (fun j ->
+                      Json.of_float (Linalg.Mat.get a.chol i j))))) );
     ]
 
 let to_json_string a =
@@ -257,7 +208,7 @@ let json_floats what value =
   let rec fill i = function
     | [] -> Ok arr
     | item :: rest -> (
-        match fnum_back item with
+        match Json.to_float item with
         | Some f ->
             arr.(i) <- f;
             fill (i + 1) rest
@@ -286,7 +237,7 @@ let of_json_value doc =
   let* scale = mfield "scale" Json.to_str in
   let* seed = mfield "seed" Json.to_int in
   let* rev = need "rev" (Option.bind (field "rev") Json.to_int) in
-  let ffield name = need name (Option.bind (field name) fnum_back) in
+  let ffield name = need name (Option.bind (field name) Json.to_float) in
   let* hyper = ffield "hyper" in
   let* cv_error = ffield "cv_error" in
   let* sigma0_sq = ffield "sigma0_sq" in
@@ -349,9 +300,17 @@ let of_json_value doc =
     if k >= 0 && Array.length g_flat = k * m then Ok ()
     else Error "artifact: design matrix size mismatch"
   in
-  let g = Linalg.Mat.init k m (fun i j -> g_flat.((i * m) + j)) in
-  let* chol = unpack_chol k chol_flat in
-  let a =
+  let g = Linalg.Mat.of_flat ~rows:k ~cols:m g_flat in
+  let* () =
+    if Array.length chol_flat = k * (k + 1) / 2 then Ok ()
+    else Error "chol: packed length mismatch"
+  in
+  (* row i of the packed lower triangle starts at i (i + 1) / 2 *)
+  let chol =
+    Linalg.Mat.init k k (fun i j ->
+        if j <= i then chol_flat.((i * (i + 1) / 2) + j) else 0.)
+  in
+  validate
     {
       meta = { circuit; metric; scale; seed };
       rev;
@@ -366,190 +325,125 @@ let of_json_value doc =
       f;
       chol;
     }
-  in
-  let* () = validate a in
-  Ok a
 
 let of_json_string s =
   let* doc = Result.map_error (fun e -> "artifact: bad JSON: " ^ e) (Json.of_string s) in
   of_json_value doc
 
 (* ------------------------------------------------------------------ *)
-(* Binary codec: a fixed-order little-endian layout,
+(* Binary codec: a fixed-order layout in {!Codec}'s envelope,
 
-     magic "BMFART01" | u64 checksum of payload | payload
+     magic "BMFART01" | u64 fnv64 checksum of payload | payload
 
    with ints as i64, floats as IEEE bits, strings and arrays
-   length-prefixed. Roughly 8 bytes per number versus ~20 for JSON. *)
+   length-prefixed, and the design matrix as [k | k * m | floats].
+   Roughly 8 bytes per number versus ~20 for JSON. *)
 
 let magic = "BMFART01"
 
-let put_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
+(* The model key, in the order every binary format stores it. *)
+let write_meta w m =
+  Codec.put_string w m.circuit;
+  Codec.put_string w m.metric;
+  Codec.put_string w m.scale;
+  Codec.put_int w m.seed
 
-let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
+let read_meta rd =
+  let circuit = Codec.get_string rd in
+  let metric = Codec.get_string rd in
+  let scale = Codec.get_string rd in
+  let seed = Codec.get_int rd in
+  { circuit; metric; scale; seed }
 
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
+let write_payload w a =
+  write_meta w a.meta;
+  Codec.put_int w a.rev;
+  Codec.put_float w a.hyper;
+  Codec.put_float w a.cv_error;
+  Codec.put_float w a.sigma0_sq;
+  Codec.put_int w a.basis_dim;
+  Codec.put_int w (Array.length a.terms);
+  for t = 0 to Array.length a.terms - 1 do
+    let term = a.terms.(t) in
+    Codec.put_int w (Array.length term);
+    for p = 0 to Array.length term - 1 do
+      let v, d = term.(p) in
+      Codec.put_int w v;
+      Codec.put_int w d
+    done
+  done;
+  Codec.put_int w
+    (match a.prior.Bmf.Prior.kind with
+    | Bmf.Prior.Zero_mean -> 0
+    | Bmf.Prior.Nonzero_mean -> 1);
+  Codec.put_floats w a.prior.Bmf.Prior.means;
+  Codec.put_floats w a.prior.Bmf.Prior.weights;
+  Codec.put_int w (Array.length a.prior.Bmf.Prior.informed);
+  Array.iter (Codec.put_bool w) a.prior.Bmf.Prior.informed;
+  Codec.put_floats w a.coeffs;
+  let k, m = Linalg.Mat.dims a.g in
+  Codec.put_int w k;
+  Codec.put_int w (k * m);
+  Codec.put_mat w a.g;
+  Codec.put_floats w a.f;
+  Codec.put_int w (k * (k + 1) / 2);
+  Codec.put_lower w a.chol
 
-let put_floats buf arr =
-  put_int buf (Array.length arr);
-  Array.iter (put_float buf) arr
-
-let payload_to_binary a =
-  let buf = Buffer.create (8 * (Array.length a.coeffs * (num_samples a + 4))) in
-  put_string buf a.meta.circuit;
-  put_string buf a.meta.metric;
-  put_string buf a.meta.scale;
-  put_int buf a.meta.seed;
-  put_int buf a.rev;
-  put_float buf a.hyper;
-  put_float buf a.cv_error;
-  put_float buf a.sigma0_sq;
-  put_int buf a.basis_dim;
-  put_int buf (Array.length a.terms);
-  Array.iter
-    (fun term ->
-      put_int buf (Array.length term);
-      Array.iter
-        (fun (v, d) ->
-          put_int buf v;
-          put_int buf d)
-        term)
-    a.terms;
-  put_int buf (match a.prior.Bmf.Prior.kind with Bmf.Prior.Zero_mean -> 0 | Bmf.Prior.Nonzero_mean -> 1);
-  put_floats buf a.prior.Bmf.Prior.means;
-  put_floats buf a.prior.Bmf.Prior.weights;
-  put_int buf (Array.length a.prior.Bmf.Prior.informed);
-  Array.iter
-    (fun b -> Buffer.add_char buf (if b then '\001' else '\000'))
-    a.prior.Bmf.Prior.informed;
-  put_floats buf a.coeffs;
-  put_int buf (num_samples a);
-  put_floats buf (mat_flat a.g);
-  put_floats buf a.f;
-  put_floats buf (pack_chol a.chol);
-  Buffer.contents buf
-
+(* Room for the floats and the terms' pairs; the writer grows if the
+   strings need more. *)
 let to_binary_string a =
-  let payload = payload_to_binary a in
-  let buf = Buffer.create (String.length payload + 16) in
-  Buffer.add_string buf magic;
-  Buffer.add_int64_le buf (fnv64 payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let k, m = Linalg.Mat.dims a.g in
+  let size = 512 + (8 * ((k * (m + 1)) + (k * (k + 1) / 2) + (4 * m))) in
+  Codec.sealed ~magic
+    ~size:(Array.fold_left (fun n t -> n + 8 + (16 * Array.length t)) size a.terms)
+    (fun w -> write_payload w a)
 
-exception Short of string
-
-type reader = { data : string; mutable at : int }
-
-let take rd n =
-  if rd.at + n > String.length rd.data then raise (Short "truncated payload");
-  let at = rd.at in
-  rd.at <- rd.at + n;
-  at
-
-let get_int rd = Int64.to_int (String.get_int64_le rd.data (take rd 8))
-
-let get_float rd = Int64.float_of_bits (String.get_int64_le rd.data (take rd 8))
-
-let get_string rd =
-  let n = get_int rd in
-  if n < 0 then raise (Short "negative length");
-  String.sub rd.data (take rd n) n
-
-let get_len rd what limit =
-  let n = get_int rd in
-  if n < 0 || n > limit then raise (Short ("implausible " ^ what ^ " length"));
-  n
-
-let get_floats rd what =
-  let n = get_len rd what ((String.length rd.data - rd.at) / 8) in
-  Array.init n (fun _ -> get_float rd)
+let read_payload rd =
+  let meta = read_meta rd in
+  let rev = Codec.get_int rd in
+  let hyper = Codec.get_float rd in
+  let cv_error = Codec.get_float rd in
+  let sigma0_sq = Codec.get_float rd in
+  let basis_dim = Codec.get_int rd in
+  let n_terms = Codec.get_count rd ~per:8 "implausible terms length" in
+  let terms =
+    Array.init n_terms (fun _ ->
+        let n_pairs = Codec.get_count rd ~per:16 "implausible term length" in
+        Polybasis.Multi_index.of_pairs
+          (List.init n_pairs (fun _ ->
+               let v = Codec.get_int rd in
+               let d = Codec.get_int rd in
+               (v, d))))
+  in
+  let kind =
+    match Codec.get_int rd with
+    | 0 -> Bmf.Prior.Zero_mean
+    | 1 -> Bmf.Prior.Nonzero_mean
+    | n -> raise (Codec.Short (Printf.sprintf "bad prior kind %d" n))
+  in
+  let means = Codec.get_floats rd "means" in
+  let weights = Codec.get_floats rd "weights" in
+  let n_informed = Codec.get_count rd ~per:1 "implausible informed length" in
+  let informed = Array.init n_informed (fun _ -> Codec.get_bool rd) in
+  let prior = Bmf.Prior.of_raw ~kind ~means ~weights ~informed in
+  let coeffs = Codec.get_floats rd "coeffs" in
+  let m = Array.length coeffs in
+  let k = Codec.get_int rd in
+  let n = Codec.get_count rd ~per:8 "implausible g length" in
+  if k < 0 || n <> k * m then raise (Codec.Short "design matrix size mismatch");
+  let g = Codec.get_mat rd "g" k m in
+  let f = Codec.get_floats rd "f" in
+  let n = Codec.get_count rd ~per:8 "implausible chol length" in
+  if n <> k * (k + 1) / 2 then raise (Codec.Short "chol: packed length mismatch");
+  let chol = Codec.get_lower rd k in
+  validate
+    { meta; rev; hyper; cv_error; sigma0_sq; basis_dim; terms; prior; coeffs;
+      g; f; chol }
 
 let of_binary_string s =
-  if String.length s < String.length magic + 8 then Error "artifact: truncated file"
-  else if not (String.equal (String.sub s 0 (String.length magic)) magic) then
-    Error "artifact: bad magic"
-  else begin
-    let stored = String.get_int64_le s (String.length magic) in
-    let payload_at = String.length magic + 8 in
-    let payload = String.sub s payload_at (String.length s - payload_at) in
-    if not (Int64.equal (fnv64 payload) stored) then
-      Error "artifact: checksum mismatch (corrupt file)"
-    else
-      try
-        let rd = { data = payload; at = 0 } in
-        let circuit = get_string rd in
-        let metric = get_string rd in
-        let scale = get_string rd in
-        let seed = get_int rd in
-        let rev = get_int rd in
-        let hyper = get_float rd in
-        let cv_error = get_float rd in
-        let sigma0_sq = get_float rd in
-        let basis_dim = get_int rd in
-        let n_terms = get_len rd "terms" (String.length payload) in
-        let terms =
-          Array.init n_terms (fun _ ->
-              let n_pairs = get_len rd "term" 4096 in
-              Polybasis.Multi_index.of_pairs
-                (List.init n_pairs (fun _ ->
-                     let v = get_int rd in
-                     let d = get_int rd in
-                     (v, d))))
-        in
-        let kind =
-          match get_int rd with
-          | 0 -> Bmf.Prior.Zero_mean
-          | 1 -> Bmf.Prior.Nonzero_mean
-          | n -> raise (Short (Printf.sprintf "bad prior kind %d" n))
-        in
-        let means = get_floats rd "means" in
-        let weights = get_floats rd "weights" in
-        let n_informed = get_len rd "informed" (String.length payload) in
-        let informed =
-          Array.init n_informed (fun _ ->
-              String.get payload (take rd 1) <> '\000')
-        in
-        let prior = Bmf.Prior.of_raw ~kind ~means ~weights ~informed in
-        let coeffs = get_floats rd "coeffs" in
-        let k = get_int rd in
-        let g_flat = get_floats rd "g" in
-        let f = get_floats rd "f" in
-        let chol_flat = get_floats rd "chol" in
-        if rd.at <> String.length payload then Error "artifact: trailing bytes"
-        else begin
-          let m = Array.length coeffs in
-          if k < 0 || Array.length g_flat <> k * m then
-            Error "artifact: design matrix size mismatch"
-          else begin
-            let g = Linalg.Mat.init k m (fun i j -> g_flat.((i * m) + j)) in
-            let* chol = unpack_chol k chol_flat in
-            let a =
-              {
-                meta = { circuit; metric; scale; seed };
-                rev;
-                hyper;
-                cv_error;
-                sigma0_sq;
-                basis_dim;
-                terms;
-                prior;
-                coeffs;
-                g;
-                f;
-                chol;
-              }
-            in
-            let* () = validate a in
-            Ok a
-          end
-        end
-      with
-      | Short msg -> Error ("artifact: " ^ msg)
-      | Invalid_argument msg -> Error ("artifact: " ^ msg)
-  end
+  match Codec.unsealed ~magic ~eof:"truncated payload" s read_payload with
+  | Ok checked -> checked
+  | Error e | (exception Invalid_argument e) -> Error ("artifact: " ^ e)
 
 (* ------------------------------------------------------------------ *)
 
@@ -557,28 +451,5 @@ let to_string format a =
   match format with Json -> to_json_string a | Binary -> to_binary_string a
 
 let of_string s =
-  if String.length s >= String.length magic
-     && String.equal (String.sub s 0 (String.length magic)) magic
-  then of_binary_string s
+  if String.starts_with ~prefix:magic s then of_binary_string s
   else of_json_string s
-
-let save ?format path a =
-  let format =
-    match format with
-    | Some f -> f
-    | None -> if Filename.check_suffix path ".json" then Json else Binary
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string format a))
-
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | contents -> of_string contents
-  | exception Sys_error msg -> Error ("artifact: " ^ msg)

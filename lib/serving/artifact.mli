@@ -11,8 +11,10 @@
 
     Two codecs share one payload schema: a canonical JSON text form
     (debuggable, diffable) and a compact little-endian binary form
-    (~2.5x smaller). Both embed an FNV-1a 64-bit checksum of the
-    payload; [load] verifies it and rejects corrupt files. *)
+    (~2.5x smaller) written by {!Codec} in its
+    [magic "BMFART01" | u64 fnv64 | payload] envelope. Both embed an
+    FNV-1a 64-bit checksum of the payload; [load] verifies it and
+    rejects corrupt files. *)
 
 val format_version : int
 
@@ -69,19 +71,17 @@ val of_string : string -> (t, string) result
 (** Sniffs the format (binary magic, else JSON), verifies the checksum
     and all structural invariants. *)
 
-val save : ?format:format -> string -> t -> unit
-(** Writes to a path. Default format: [Json] when the path ends in
-    [.json], [Binary] otherwise. *)
-
-val load : string -> (t, string) result
-
 val fingerprint : Linalg.Vec.t -> string
 (** Checksum over the exact IEEE bits of a float vector — used to
     assert bit-identical predictions across save/load and processes. *)
 
-val fnv64 : string -> int64
-(** FNV-1a 64-bit hash — the checksum primitive shared by both codecs,
-    the {!Store} filename digest and the {!Journal} entry checksums. *)
-
 val checksum_hex : string -> string
-(** [fnv64] rendered as 16 lowercase hex digits. *)
+(** {!Codec.fnv64} of the whole string, as 16 lowercase hex digits: the
+    JSON codec's checksum and the {!Store} filename digest. *)
+
+val write_meta : Codec.writer -> meta -> unit
+(** [circuit | metric | scale | seed]: the layout of the key in the
+    artifact, a journal entry, a [.bmfe] member and a wire body. *)
+
+val read_meta : Codec.reader -> meta
+(** Inverse of {!write_meta}. @raise Codec.Short on malformed input. *)

@@ -1,13 +1,11 @@
-(* Write-ahead journal for incremental updates.
-
-   Framing mirrors the Artifact binary codec conventions: every integer
-   is a little-endian i64, floats are IEEE-754 bit patterns, strings and
-   float arrays are length-prefixed. An entry on disk is
+(* Write-ahead journal for incremental updates, written with {!Codec}.
+   An entry on disk is
 
      u64 payload_len | u64 fnv64(payload) | payload
 
-   so a torn tail (crash mid-append) is detected by either a short read
-   or a checksum mismatch, and the intact prefix is still replayable. *)
+   with the payload [meta | base_rev | rows | cols | n | floats | f], so
+   a torn tail (crash mid-append) is detected by either a short read or
+   a checksum mismatch, and the intact prefix is still replayable. *)
 
 let magic = "BMFJRNL1"
 
@@ -25,82 +23,59 @@ type entry = {
 (* ------------------------------------------------------------------ *)
 (* Codec.                                                              *)
 
-let put_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let put_float buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
-
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let put_floats buf arr =
-  put_int buf (Array.length arr);
-  Array.iter (put_float buf) arr
-
-let encode_payload e =
-  let buf = Buffer.create 256 in
-  put_string buf e.meta.Artifact.circuit;
-  put_string buf e.meta.Artifact.metric;
-  put_string buf e.meta.Artifact.scale;
-  put_int buf e.meta.Artifact.seed;
-  put_int buf e.base_rev;
-  put_int buf (Linalg.Mat.rows e.xs);
-  put_int buf (Linalg.Mat.cols e.xs);
-  put_floats buf (Linalg.Mat.to_flat e.xs);
-  put_floats buf e.f;
-  Buffer.contents buf
-
 let encode_entry e =
-  let payload = encode_payload e in
-  let buf = Buffer.create (16 + String.length payload) in
-  Buffer.add_int64_le buf (Int64.of_int (String.length payload));
-  Buffer.add_int64_le buf (Artifact.fnv64 payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let rows, cols = Linalg.Mat.dims e.xs in
+  let w = Codec.writer (256 + (8 * ((rows * cols) + rows))) in
+  let head = Codec.skip w 16 in
+  Artifact.write_meta w e.meta;
+  Codec.put_int w e.base_rev;
+  Codec.put_int w rows;
+  Codec.put_int w cols;
+  Codec.put_int w (rows * cols);
+  Codec.put_mat w e.xs;
+  Codec.put_floats w e.f;
+  let payload = head + 16 in
+  Codec.set_int64 w head (Int64.of_int (Codec.length w - payload));
+  Codec.set_int64 w (head + 8) (Codec.fnv64_from w payload);
+  Codec.contents w
 
-exception Bad of string
+let decode_payload rd =
+  let meta = Artifact.read_meta rd in
+  let base_rev = Codec.get_int rd in
+  let rows = Codec.get_int rd in
+  let cols = Codec.get_int rd in
+  if rows < 0 || cols < 0 then raise (Codec.Short "negative dims");
+  let n = Codec.get_count rd ~per:8 "implausible float-array length" in
+  if n <> rows * cols then raise (Codec.Short "xs size mismatch");
+  let xs = Codec.get_mat rd "xs" rows cols in
+  let f = Codec.get_floats rd "float-array" in
+  if Array.length f <> rows then raise (Codec.Short "xs/f row count mismatch");
+  if base_rev < 0 then raise (Codec.Short "negative base_rev");
+  { meta; base_rev; xs; f }
 
-type reader = { data : string; mutable at : int }
-
-let take rd n =
-  if n < 0 || n > String.length rd.data - rd.at then raise (Bad "truncated");
-  let at = rd.at in
-  rd.at <- rd.at + n;
-  at
-
-let get_int rd = Int64.to_int (String.get_int64_le rd.data (take rd 8))
-
-let get_float rd = Int64.float_of_bits (String.get_int64_le rd.data (take rd 8))
-
-let get_string rd =
-  let n = get_int rd in
-  if n < 0 then raise (Bad "negative string length");
-  String.sub rd.data (take rd n) n
-
-let get_floats rd =
-  let n = get_int rd in
-  if n < 0 || n > (String.length rd.data - rd.at) / 8 then
-    raise (Bad "implausible float-array length");
-  Array.init n (fun _ -> get_float rd)
-
-let decode_payload payload =
-  let rd = { data = payload; at = 0 } in
-  let circuit = get_string rd in
-  let metric = get_string rd in
-  let scale = get_string rd in
-  let seed = get_int rd in
-  let base_rev = get_int rd in
-  let rows = get_int rd in
-  let cols = get_int rd in
-  if rows < 0 || cols < 0 then raise (Bad "negative dims");
-  let data = get_floats rd in
-  let f = get_floats rd in
-  if rd.at <> String.length payload then raise (Bad "trailing bytes");
-  if Array.length data <> rows * cols then raise (Bad "xs size mismatch");
-  if Array.length f <> rows then raise (Bad "xs/f row count mismatch");
-  if base_rev < 0 then raise (Bad "negative base_rev");
-  let xs = Linalg.Mat.init rows cols (fun i j -> data.((i * cols) + j)) in
-  { meta = { Artifact.circuit; metric; scale; seed }; base_rev; xs; f }
+(* The one entry-frame parser: the entry framed at [at], and the offset
+   just past it. [whole] asks for exactly one entry ending the data (a
+   wire-shipped record); otherwise bytes may follow (the journal file). *)
+let parse_entry ~whole data at =
+  let left = String.length data - at in
+  if left < 16 then Stdlib.Error "truncated entry header"
+  else begin
+    let rd = Codec.reader ~off:at data in
+    (* a length outside the int range reads as -1: refused below *)
+    let payload_len = try Codec.get_int rd with Codec.Short _ -> -1 in
+    let stored = Codec.get_int64 rd in
+    if whole && payload_len <> left - 16 then
+      Stdlib.Error "entry length mismatch"
+    else if payload_len < 0 || payload_len > left - 16 then
+      Stdlib.Error "truncated entry payload"
+    else if
+      not (Int64.equal (Codec.fnv64 data (at + 16) payload_len) stored)
+    then Stdlib.Error "entry checksum mismatch"
+    else
+      match Codec.parse ~off:(at + 16) ~len:payload_len data decode_payload with
+      | Ok e -> Ok (e, at + 16 + payload_len)
+      | Stdlib.Error msg -> Stdlib.Error ("bad entry: " ^ msg)
+  end
 
 (* Tolerant scan: decode the longest valid prefix; describe why the
    tail (if any) was discarded. A crash mid-append leaves exactly this
@@ -108,29 +83,15 @@ let decode_payload payload =
 let decode_entries data =
   if String.length data < String.length magic then
     ([], Some "missing journal header")
-  else if String.sub data 0 (String.length magic) <> magic then
+  else if not (String.starts_with ~prefix:magic data) then
     ([], Some "bad journal magic")
   else begin
-    let len = String.length data in
     let rec go at acc =
-      if at = len then (List.rev acc, None)
-      else if len - at < 16 then
-        (List.rev acc, Some "truncated entry header")
-      else begin
-        let payload_len = Int64.to_int (String.get_int64_le data at) in
-        let stored = String.get_int64_le data (at + 8) in
-        if payload_len < 0 || payload_len > len - at - 16 then
-          (List.rev acc, Some "truncated entry payload")
-        else begin
-          let payload = String.sub data (at + 16) payload_len in
-          if not (Int64.equal (Artifact.fnv64 payload) stored) then
-            (List.rev acc, Some "entry checksum mismatch")
-          else
-            match decode_payload payload with
-            | exception Bad msg -> (List.rev acc, Some ("bad entry: " ^ msg))
-            | e -> go (at + 16 + payload_len) (e :: acc)
-        end
-      end
+      if at = String.length data then (List.rev acc, None)
+      else
+        match parse_entry ~whole:false data at with
+        | Stdlib.Error why -> (List.rev acc, Some why)
+        | Ok (e, next) -> go next (e :: acc)
     in
     go (String.length magic) []
   end
@@ -138,37 +99,15 @@ let decode_entries data =
 let read ~root =
   let f = file ~root in
   if not (Sys.file_exists f) then ([], None)
-  else begin
-    let ic = open_in_bin f in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    decode_entries data
-  end
+  else
+    match Store.read_file f with
+    | Ok data -> decode_entries data
+    | Error msg -> raise (Sys_error msg)
 
 (* One wire-shipped entry in the exact on-disk framing (len | fnv | payload),
    nothing before or after. Used by replication to validate streamed WAL
    records end to end with the same checksum the durability layer trusts. *)
-let decode_entry data =
-  let len = String.length data in
-  if len < 16 then Stdlib.Error "truncated entry header"
-  else begin
-    let payload_len = Int64.to_int (String.get_int64_le data 0) in
-    let stored = String.get_int64_le data 8 in
-    if payload_len < 0 || payload_len <> len - 16 then
-      Stdlib.Error "entry length mismatch"
-    else begin
-      let payload = String.sub data 16 payload_len in
-      if not (Int64.equal (Artifact.fnv64 payload) stored) then
-        Stdlib.Error "entry checksum mismatch"
-      else
-        match decode_payload payload with
-        | exception Bad msg -> Stdlib.Error ("bad entry: " ^ msg)
-        | e -> Ok e
-    end
-  end
+let decode_entry data = Result.map fst (parse_entry ~whole:true data 0)
 
 (* ------------------------------------------------------------------ *)
 (* Append handle.                                                      *)

@@ -9,11 +9,14 @@
     artifact already advanced (recovery discards the entry).
     Acknowledged updates survive either way.
 
-    On-disk format, mirroring the {!Artifact} binary codec conventions
-    (little-endian i64 integers, IEEE-754 float bits, length-prefixed
-    strings/arrays): an 8-byte magic ["BMFJRNL1"], then per entry
+    On-disk format, written by {!Codec} (little-endian i64 integers,
+    IEEE-754 float bits, length-prefixed strings/arrays): an 8-byte
+    magic ["BMFJRNL1"], then per entry
 
     {v u64 payload_len | u64 fnv64(payload) | payload v}
+
+    where the payload is the model key, the base revision, [xs] as
+    [rows | cols | rows * cols | floats] and [f] as [count | floats].
 
     A torn tail — short header, short payload, checksum mismatch or
     undecodable payload — terminates the scan; the intact prefix is

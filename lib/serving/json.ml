@@ -217,7 +217,16 @@ let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
-let to_float = function Num f -> Some f | _ -> None
+let of_float f =
+  if Float.is_finite f then Num f
+  else Str (if Float.is_nan f then "nan" else if f > 0. then "inf" else "-inf")
+
+let to_float = function
+  | Num f -> Some f
+  | Str "nan" -> Some Float.nan
+  | Str "inf" -> Some Float.infinity
+  | Str "-inf" -> Some Float.neg_infinity
+  | _ -> None
 
 let to_int = function
   | Num f when Float.is_integer f -> Some (int_of_float f)

@@ -27,7 +27,12 @@ val of_string : string -> (t, string) result
 val member : string -> t -> t option
 (** Field lookup on an object; [None] on missing field or non-object. *)
 
+val of_float : float -> t
+(** A number, or the string ["nan"], ["inf"] or ["-inf"] for a
+    non-finite float (which {!to_string} cannot print as a number). *)
+
 val to_float : t -> float option
+(** Inverse of {!of_float}. *)
 
 val to_int : t -> int option
 (** Numbers with an integral value only. *)

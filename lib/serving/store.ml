@@ -22,7 +22,7 @@ let key_digest (meta : Artifact.meta) =
   let raw =
     String.concat "\x00" [ meta.circuit; meta.metric; meta.scale ]
   in
-  String.sub (Printf.sprintf "%016Lx" (Artifact.fnv64 raw)) 0 8
+  String.sub (Artifact.checksum_hex raw) 0 8
 
 let filename (meta : Artifact.meta) format =
   Printf.sprintf "%s__%s__%s__s%d__h%s%s" (sanitize meta.circuit)

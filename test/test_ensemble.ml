@@ -237,6 +237,34 @@ let test_state_codec_roundtrip_and_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated payload accepted"
 
+(* Byte golden for one [.bmfe]: a fixed state, captured before the codec
+   helpers were shared, so the file format cannot drift. *)
+let test_state_bytes_golden () =
+  let s =
+    Ensemble.State.record (state_ab ()) [| (12.25, 40); (-3.125, 40) |]
+  in
+  check_string ".bmfe bytes" "1e65b74652d57516"
+    (Serving.Artifact.checksum_hex (Ensemble.State.to_binary_string s))
+
+(* A [.bmfe] whose checksum matches but whose name length is max_int:
+   the bound [at + n] wraps around, so it must be checked as
+   [n > len - at]. [Manager.load_all] runs at daemon start and expects an
+   [Error] for every bad file, never an exception. *)
+let test_state_forged_length_refused () =
+  let payload = Bytes.create 16 in
+  Bytes.set_int64_le payload 0 (Int64.of_int max_int);
+  Bytes.set_int64_le payload 8 0L;
+  let payload = Bytes.to_string payload in
+  let sum = Int64.of_string ("0x" ^ Serving.Artifact.checksum_hex payload) in
+  let sealed = Bytes.create 16 in
+  Bytes.blit_string "BMFENS01" 0 sealed 0 8;
+  Bytes.set_int64_le sealed 8 sum;
+  match Ensemble.State.of_binary_string (Bytes.to_string sealed ^ payload) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "forged name length accepted"
+  | exception e ->
+      Alcotest.failf "forged name length raised %s" (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Predictor.combine: the normative decomposition fold                 *)
 
@@ -504,6 +532,9 @@ let () =
             test_state_record_and_reset;
           Alcotest.test_case "codec round-trip and corruption" `Quick
             test_state_codec_roundtrip_and_corruption;
+          Alcotest.test_case "bytes golden" `Quick test_state_bytes_golden;
+          Alcotest.test_case "forged length refused" `Quick
+            test_state_forged_length_refused;
         ] );
       ( "predictor",
         [

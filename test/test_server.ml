@@ -1676,6 +1676,250 @@ let test_e2e_ensemble_oversized_refused () =
         (e.Server.Wire.code = Server.Wire.Bad_request)
   | Ok _ -> Alcotest.fail "oversized ensemble batch served"
 
+(* Allocation gate for the wire decoder: a predict frame at the served
+   RO model's dimension (572) decodes in O(1) minor words per call, the
+   same count at 8 rows and at 64. The floats go straight from the body
+   into the matrix's Bigarray. *)
+let test_decode_allocation_gate () =
+  let dim = 572 in
+  let words rows =
+    let points =
+      Linalg.Mat.init rows dim (fun i j -> float_of_int ((i * dim) + j) /. 7.)
+    in
+    let f =
+      frame_of
+        (Server.Wire.encode_request ~id:1
+           (Server.Wire.Predict_req { meta; points; with_std = false }))
+    in
+    let decode () =
+      match Server.Wire.decode_request f with
+      | Ok r -> ignore (Sys.opaque_identity r)
+      | Error e -> Alcotest.failf "decode: %s" e
+    in
+    for _ = 1 to 3 do
+      decode ()
+    done;
+    let calls = 20 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      decode ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let w8 = words 8 and w64 = words 64 in
+  if w8 > 128. || w64 > 128. then
+    Alcotest.failf
+      "decode_request allocates %.0f (8 rows) and %.0f (64 rows) minor words \
+       per call (budget 128)"
+      w8 w64;
+  if Float.abs (w64 -. w8) > 16. then
+    Alcotest.failf
+      "decode_request: %.0f minor words at 8 rows, %.0f at 64 (budget: the \
+       same count, +/- 16)"
+      w8 w64
+
+(* A matrix that claims 10^8 rows of zero columns holds no floats, so
+   only a bound on rows against the bytes left stops the decoder from
+   looping once per claimed row. The decode runs before admission checks
+   the batch size, for every opcode that carries a matrix. *)
+let test_zero_column_matrix_rejected () =
+  let b = Buffer.create 64 in
+  let put_int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let put_string s =
+    put_int (String.length s);
+    Buffer.add_string b s
+  in
+  List.iter
+    (fun (kind, with_name) ->
+      Buffer.clear b;
+      if with_name then put_string "pair"
+      else begin
+        put_string meta.circuit;
+        put_string meta.metric;
+        put_string meta.scale;
+        put_int meta.seed
+      end;
+      put_int 100_000_000;
+      put_int 0;
+      (* [update] carries a float array after the matrix *)
+      if kind = 4 then put_int 0;
+      let f =
+        {
+          Server.Wire.frame_version = 1;
+          frame_kind = kind;
+          frame_id = 1;
+          frame_deadline_ms = 0;
+          frame_trace = 0;
+          frame_span = 0;
+          body = Buffer.contents b;
+        }
+      in
+      match Server.Wire.decode_request f with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "opcode %d: 10^8 x 0 matrix decoded" kind)
+    [ (2, false); (3, false); (4, false); (11, true) ]
+
+(* Byte goldens: one frame per request, response and push kind, captured
+   before the codec helpers were shared. Requests frame as v1 without a
+   trace context and as v2 with one; responses always frame as v1 and
+   pushes as v2. Inputs are fixed literals, so no rng draw moves. *)
+let wire_golden_frames () =
+  let module W = Server.Wire in
+  let gm =
+    { Serving.Artifact.circuit = "ro"; metric = "freq"; scale = "quick"; seed = 9 }
+  in
+  let points =
+    Linalg.Mat.init 3 4 (fun i j -> (float_of_int ((i * 4) + j) *. 0.5) -. 1.25)
+  in
+  let xs = Linalg.Mat.init 2 4 (fun i j -> float_of_int (i - j) /. 3.) in
+  let f = [| 0.125; -0. |] in
+  let requests =
+    [
+      ("ping", W.Ping_req);
+      ("predict", W.Predict_req { meta = gm; points; with_std = false });
+      ("predict_with_variance", W.Predict_req { meta = gm; points; with_std = true });
+      ("update", W.Update_req { meta = gm; xs; f });
+      ("list_models", W.List_models_req);
+      ("stats", W.Stats_req);
+      ( "subscribe",
+        W.Subscribe_req { vector = [ (gm, 4); ({ gm with seed = 10 }, 0) ] } );
+      ("repl_ack", W.Repl_ack_req { seq = 77 });
+      ("promote", W.Promote_req);
+      ("events", W.Events_req);
+      ("predict_ensemble", W.Predict_ensemble_req { name = "pair"; points });
+      ("ensemble_stats", W.Ensemble_stats_req { name = "pair" });
+    ]
+  in
+  let responses =
+    [
+      ("pong", W.Pong);
+      ("predicted", W.Predicted { means = [| 1.; -2.5 |]; stds = None });
+      ( "predicted with std",
+        W.Predicted { means = [| 1.; -2.5 |]; stds = Some [| 0.25; infinity |] } );
+      ("updated", W.Updated { rev = 3; samples = 125 });
+      ( "models",
+        W.Models
+          [
+            {
+              W.meta = gm;
+              rev = 2;
+              samples = 100;
+              terms = 573;
+              dim = 572;
+              file = "ro__freq.bmfa";
+              bytes = 527850;
+            };
+          ] );
+      ( "stats",
+        W.Stats_payload
+          {
+            uptime_s = 12.5;
+            requests = 1000.;
+            recovered_updates = 2.;
+            role = "leader";
+            journal_seq = 5;
+            shards = 2;
+            metrics_json = "{\"a\":1}";
+          } );
+      ("promoted", W.Promoted { was_follower = true; journal_seq = 8 });
+      ("events", W.Events_payload { json = "[]" });
+      ( "ensemble predicted",
+        W.Ensemble_predicted
+          { means = [| 1.5 |]; within = [| 0.01 |]; between = [| 0.002 |] } );
+      ("ensemble stats", W.Ensemble_stats_payload { json = "{}" });
+      ("error", W.Error { code = W.Not_leader; message = "unix://leader.sock" });
+    ]
+  in
+  let pushes =
+    [
+      ( "snapshot_chunk",
+        W.Snapshot_chunk
+          { meta = gm; rev = 2; total = 10; offset = 4; data = "abcdef" } );
+      ("journal_entry", W.Journal_entry { seq = 6; ts = 1.75e9; entry = "WAL" });
+      ("repl_status", W.Repl_status { seq = 6; snapshots = 1; ts = 1.75e9 });
+      ("repl_heartbeat", W.Repl_heartbeat { seq = 6; ts = 1.75e9 });
+    ]
+  in
+  let trace = (0x1234_5678, 0x9abc) in
+  List.concat
+    [
+      List.concat_map
+        (fun (name, r) ->
+          [
+            ("request v1 " ^ name, W.encode_request ~id:17 ~deadline_ms:250 r);
+            ( "request v2 " ^ name,
+              W.encode_request ~id:17 ~deadline_ms:250 ~trace r );
+          ])
+        requests;
+      List.map
+        (fun (name, r) -> ("response v1 " ^ name, W.encode_response ~id:17 r))
+        responses;
+      List.concat_map
+        (fun (name, p) ->
+          [
+            ("push v2 " ^ name, W.encode_push p);
+            ("push v2 traced " ^ name, W.encode_push ~trace p);
+          ])
+        pushes;
+    ]
+
+let wire_goldens =
+  [
+    ("request v1 ping", "dd5b75c47f7e18d6");
+    ("request v2 ping", "bd2d9fa69cc3110b");
+    ("request v1 predict", "b1a7454934532d9f");
+    ("request v2 predict", "554a239887dfedb0");
+    ("request v1 predict_with_variance", "2e4be1d7a46dcf1a");
+    ("request v2 predict_with_variance", "74d119baa77ec24d");
+    ("request v1 update", "e9541aee060f2f44");
+    ("request v2 update", "d8d8e4603af8a5a3");
+    ("request v1 list_models", "9a96d08bcc0ed75a");
+    ("request v2 list_models", "713b250d36ec0d7f");
+    ("request v1 stats", "d59f07d839108163");
+    ("request v2 stats", "a41f7d0f6eb71956");
+    ("request v1 subscribe", "281d665f612e541b");
+    ("request v2 subscribe", "66b0263aaa53c7ce");
+    ("request v1 repl_ack", "4cc44020dfebc09c");
+    ("request v2 repl_ack", "400991b6845c7b95");
+    ("request v1 promote", "01425dce485350ce");
+    ("request v2 promote", "83384d4bade44393");
+    ("request v1 events", "3c4a951ab554fad7");
+    ("request v2 events", "18e81619420ef52a");
+    ("request v1 predict_ensemble", "7ccdfa8b163c3243");
+    ("request v2 predict_ensemble", "259b9316f03ee592");
+    ("request v1 ensemble_stats", "d9ce22c93c8c1ec9");
+    ("request v2 ensemble_stats", "1a79b092c45a2650");
+    ("response v1 pong", "9fec5f4dab15800b");
+    ("response v1 predicted", "676a49d9cc58f343");
+    ("response v1 predicted with std", "b763585b3b7fa94a");
+    ("response v1 updated", "e82722c057abd1a5");
+    ("response v1 models", "09698f1ffeac7bb2");
+    ("response v1 stats", "55f2972e44904303");
+    ("response v1 promoted", "78f47f180fd9fdf2");
+    ("response v1 events", "25cd98ab7c0c1193");
+    ("response v1 ensemble predicted", "be8d21e2ff60338b");
+    ("response v1 ensemble stats", "263a78ab7c68ad13");
+    ("response v1 error", "104e2b958d61435c");
+    ("push v2 snapshot_chunk", "bb965fd43eb9c505");
+    ("push v2 traced snapshot_chunk", "b0420279cb5f4aa7");
+    ("push v2 journal_entry", "898637d4ab1b78e0");
+    ("push v2 traced journal_entry", "d308fd2618f30966");
+    ("push v2 repl_status", "a561cc4422bbff94");
+    ("push v2 traced repl_status", "467d84bce8a00a0a");
+    ("push v2 repl_heartbeat", "0ee5e2d0e2ff4b0e");
+    ("push v2 traced repl_heartbeat", "2e65cffe3429fd9c");
+  ]
+
+let test_wire_bytes_goldens () =
+  let frames = wire_golden_frames () in
+  check_int "one golden per frame" (List.length frames)
+    (List.length wire_goldens);
+  List.iter2
+    (fun (name, bytes) (name', hex) ->
+      check_string "golden label" name' name;
+      check_string name hex (Serving.Artifact.checksum_hex bytes))
+    frames wire_goldens
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1699,6 +1943,15 @@ let () =
           Alcotest.test_case "negative id" `Quick test_negative_id_rejected;
           Alcotest.test_case "v2 trace context" `Quick
             test_v2_trace_roundtrip;
+          Alcotest.test_case "frame bytes goldens" `Quick
+            test_wire_bytes_goldens;
+          Alcotest.test_case "zero-column matrix rejected" `Quick
+            test_zero_column_matrix_rejected;
+        ] );
+      ( "alloc-gate",
+        [
+          Alcotest.test_case "predict decode is O(1) words" `Quick
+            test_decode_allocation_gate;
         ] );
       ( "e2e",
         [

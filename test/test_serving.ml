@@ -56,23 +56,34 @@ let queries ?(rng = rng) (s : synth) n =
 (* ------------------------------------------------------------------ *)
 (* Artifact codecs                                                     *)
 
-(* FNV-1a 64 known answers, and a hash that allocates O(1) minor words
-   whatever the payload size: it runs on every save, load, journal
-   append and recovery. *)
+(* FNV-1a 64 known answers, over whole strings and byte ranges, and a
+   hash that allocates O(1) minor words whatever the range size: it runs
+   on every save, load, journal append and recovery. *)
 let test_fnv64 () =
   List.iter
     (fun (input, hex) ->
       check_string (Printf.sprintf "fnv64 %S" input) hex
-        (Serving.Artifact.checksum_hex input))
+        (Serving.Artifact.checksum_hex input);
+      (* the same bytes inside a larger string *)
+      let padded = "xy" ^ input ^ "z" in
+      check_string (Printf.sprintf "fnv64 range %S" input) hex
+        (Printf.sprintf "%016Lx"
+           (Serving.Codec.fnv64 padded 2 (String.length input))))
     [
       ("", "cbf29ce484222325");
       ("a", "af63dc4c8601ec8c");
       ("foobar", "85944171f73967e8");
     ];
+  check_bool "range past the end refused" true
+    (try
+       ignore (Serving.Codec.fnv64 "abc" 2 2);
+       false
+     with Invalid_argument _ -> true);
   let payload = String.init 100_000 (fun i -> Char.chr (i land 255)) in
-  ignore (Serving.Artifact.fnv64 payload);
+  let hash () = Serving.Codec.fnv64 payload 0 (String.length payload) in
+  ignore (hash ());
   let before = Gc.minor_words () in
-  ignore (Serving.Artifact.fnv64 payload);
+  ignore (hash ());
   let words = Gc.minor_words () -. before in
   if words > 16. then
     Alcotest.failf "fnv64 allocates %.0f minor words on 100 kB (budget 16)"
@@ -990,6 +1001,53 @@ let test_predict_allocation_gate () =
           batch)
     [ 64; 1; 7 ]
 
+(* The binary codec's share of the gate: a save and a load of one
+   basis cost O(1) minor words per call, not per float. The floats move
+   straight between the bytes and the Bigarray storage, and buffers this
+   large go to the major heap. Only the response vector [f] (K words, on
+   the minor heap below 256 floats) grows with K. *)
+let test_artifact_codec_allocation_gate () =
+  let s = make_synth ~rng:(Stats.Rng.create 6060) ~k:200 ~r:25 () in
+  let artifact k =
+    Serving.Artifact.of_fit ~meta ~basis:s.basis ~prior:s.prior
+      ~hyper:s.hyper
+      ~g:(Linalg.Mat.copy (Linalg.Mat.view_rows s.g k))
+      ~f:(Array.sub s.f 0 k) ()
+  in
+  let words_per_call f =
+    for _ = 1 to 3 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let calls = 20 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let save k =
+    let a = artifact k in
+    words_per_call (fun () ->
+        Serving.Artifact.to_string Serving.Artifact.Binary a)
+  in
+  let load k =
+    let bytes = Serving.Artifact.to_string Serving.Artifact.Binary (artifact k) in
+    words_per_call (fun () -> Serving.Artifact.of_string bytes)
+  in
+  let save50 = save 50 and save200 = save 200 in
+  if Float.abs (save200 -. save50) > 64. then
+    Alcotest.failf
+      "Artifact.to_string: %.0f minor words at K=50, %.0f at K=200 \
+       (budget: the same count, +/- 64)"
+      save50 save200;
+  let load50 = load 50 and load200 = load 200 in
+  let per_sample = (load200 -. load50) /. 150. in
+  if per_sample > 2. then
+    Alcotest.failf
+      "Artifact.of_string: %.0f minor words at K=50, %.0f at K=200 \
+       (%.1f per added sample, budget 2)"
+      load50 load200 per_sample
+
 (* ------------------------------------------------------------------ *)
 (* Golden fingerprints, captured from the seed float-array kernels
    before the Bigarray storage port. These pin fit coefficients, the
@@ -1109,6 +1167,28 @@ let test_golden_fingerprints () =
        (Serving.Artifact.to_string Serving.Artifact.Binary
           (Serving.Incremental.to_artifact inc)))
 
+(* Byte golden for one journal entry: a fixed entry, captured before the
+   codec helpers were shared, so the on-disk WAL framing cannot drift. *)
+let test_journal_entry_golden () =
+  let entry =
+    {
+      Serving.Journal.meta =
+        {
+          Serving.Artifact.circuit = "golden";
+          metric = "wal";
+          scale = "quick";
+          seed = 13;
+        };
+      base_rev = 3;
+      xs =
+        Linalg.Mat.init 2 3 (fun i j ->
+            (float_of_int ((i * 3) + j) /. 7.) -. 0.5);
+      f = [| 1.5; -0. |];
+    }
+  in
+  check_string "journal entry bytes" "42ebe1e4521910a5"
+    (Serving.Artifact.checksum_hex (Serving.Journal.encode_entry entry))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1193,11 +1273,15 @@ let () =
         [
           Alcotest.test_case "steady-state predict is allocation-free"
             `Quick test_predict_allocation_gate;
+          Alcotest.test_case "artifact save and load are O(1) words" `Quick
+            test_artifact_codec_allocation_gate;
         ] );
       ( "golden",
         [
           Alcotest.test_case "seed fingerprints" `Quick
             test_golden_fingerprints;
+          Alcotest.test_case "journal entry bytes" `Quick
+            test_journal_entry_golden;
         ] );
       (* last, so its draws from the shared rng shift no other case *)
       ( "counters",
