@@ -374,12 +374,6 @@ let dir_arg =
           "Model registry directory (default: \\$BMF_MODEL_DIR or \
            $(b,models)).")
 
-let json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:"Store the artifact as JSON instead of the compact binary.")
-
 let testbench_of (cfg : Experiments.Config.t) name =
   match name with
   | "ro" ->
@@ -464,7 +458,7 @@ let durability_arg ~default =
            leaves flushing to the kernel (atomic visibility only).")
 
 let run_fit (scale_name, (cfg : Experiments.Config.t)) verbose circuit
-    metric_opt k dir json durability trace metrics =
+    metric_opt k dir durability trace metrics =
   with_obs ~trace ~metrics "repro_fit" @@ fun () ->
   let progress = progress_of verbose in
   let tb = testbench_of cfg circuit in
@@ -495,10 +489,7 @@ let run_fit (scale_name, (cfg : Experiments.Config.t)) verbose circuit
     Serving.Artifact.of_fit ~meta ~basis:prep.late_basis ~prior:fitted.prior
       ~hyper:fitted.hyper ~cv_error:fitted.cv_error ~g ~f ()
   in
-  let format = if json then Serving.Artifact.Json else Serving.Artifact.Binary in
-  let file =
-    Serving.Store.save ~format ~durability ~root:(root_of dir) artifact
-  in
+  let file = Serving.Store.save ~durability ~root:(root_of dir) artifact in
   Printf.printf "saved %s\n  %s\n" file (describe artifact);
   print_predictions artifact
 
@@ -507,7 +498,7 @@ let fit_cmd =
   Cmd.v (Cmd.info "fit" ~doc)
     Term.(
       const run_fit $ common_named $ verbose_arg $ circuit_arg $ metric_arg
-      $ fit_samples_arg $ dir_arg $ json_arg $ durability_arg ~default:`Fast
+      $ fit_samples_arg $ dir_arg $ durability_arg ~default:`Fast
       $ trace_arg $ metrics_arg)
 
 let run_predict (scale_name, (cfg : Experiments.Config.t)) _verbose circuit
@@ -630,13 +621,7 @@ let run_update (scale_name, (cfg : Experiments.Config.t)) verbose circuit
         end
       end;
       let updated = Serving.Incremental.to_artifact upd in
-      let format =
-        match Serving.Store.find ~root meta with
-        | Some file when Filename.check_suffix file ".json" ->
-            Serving.Artifact.Json
-        | _ -> Serving.Artifact.Binary
-      in
-      let file = Serving.Store.save ~format ~durability ~root updated in
+      let file = Serving.Store.save ~durability ~root updated in
       Printf.printf "saved %s\n  %s\n" file (describe updated);
       print_predictions updated
 

@@ -6,8 +6,8 @@
    too.
 
    The [.bmfe] suffix is invisible to Serving.Store.list (which matches
-   [.bmfa]/[.bmfa.json] only), so the two registries share a directory
-   without seeing each other's files. *)
+   artifact files, [.bmfa] and leftover [.bmfa.json], only), so the two
+   registries share a directory without seeing each other's files. *)
 
 let extension = ".bmfe"
 

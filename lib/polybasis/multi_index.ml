@@ -11,24 +11,39 @@ let pure i d =
   if d < 0 then invalid_arg "Multi_index.pure: negative degree";
   if d = 0 then constant else [| (i, d) |]
 
+(* One array and no hashing: a sort by variable (skipped when the pairs
+   already ascend, as stored terms do), then a pass that sums the
+   degrees of each run of one variable in place and drops zero sums. A
+   new pair is allocated only for a run that sums more than its
+   first degree. *)
 let of_pairs pairs =
-  List.iter
-    (fun (v, d) ->
-      if v < 0 then invalid_arg "Multi_index.of_pairs: negative variable";
-      if d < 0 then invalid_arg "Multi_index.of_pairs: negative degree")
-    pairs;
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (v, d) ->
-      let cur = try Hashtbl.find tbl v with Not_found -> 0 in
-      Hashtbl.replace tbl v (cur + d))
-    pairs;
-  let entries =
-    Hashtbl.fold (fun v d acc -> if d > 0 then (v, d) :: acc else acc) tbl []
-  in
-  let arr = Array.of_list entries in
-  Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) arr;
-  arr
+  let a = Array.of_list pairs in
+  let n = Array.length a in
+  let ascending = ref true in
+  for i = 0 to n - 1 do
+    let v, d = a.(i) in
+    if v < 0 then invalid_arg "Multi_index.of_pairs: negative variable";
+    if d < 0 then invalid_arg "Multi_index.of_pairs: negative degree";
+    if i > 0 && fst a.(i - 1) >= v then ascending := false
+  done;
+  if not !ascending then
+    Array.sort (fun (u, _) (v, _) -> Int.compare u v) a;
+  let kept = ref 0 and i = ref 0 in
+  while !i < n do
+    let start = !i in
+    let v, d = a.(start) in
+    let sum = ref d in
+    i := start + 1;
+    while !i < n && fst a.(!i) = v do
+      sum := !sum + snd a.(!i);
+      incr i
+    done;
+    if !sum > 0 then begin
+      a.(!kept) <- (if !sum = d then a.(start) else (v, !sum));
+      incr kept
+    end
+  done;
+  if !kept = n then a else Array.sub a 0 !kept
 
 let total_degree t = Array.fold_left (fun acc (_, d) -> acc + d) 0 t
 

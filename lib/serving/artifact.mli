@@ -9,14 +9,11 @@
     ({!Predictor}) and exact rank-1 incremental updates
     ({!Incremental}).
 
-    Two codecs share one payload schema: a canonical JSON text form
-    (debuggable, diffable) and a compact little-endian binary form
-    (~2.5x smaller) written by {!Codec} in its
-    [magic "BMFART01" | u64 fnv64 | payload] envelope. Both embed an
-    FNV-1a 64-bit checksum of the payload; [load] verifies it and
-    rejects corrupt files. *)
-
-val format_version : int
+    There is one format: a little-endian binary layout written by
+    {!Codec} in its [magic "BMFART01" | u64 fnv64 | payload] envelope.
+    The magic carries the format version, and the FNV-1a 64-bit
+    checksum of the payload is verified on every decode, so corrupt
+    files are rejected. *)
 
 type meta = { circuit : string; metric : string; scale : string; seed : int }
 (** Identity of a fit — the registry key in {!Store}. *)
@@ -37,7 +34,10 @@ type t = {
       (** Lower Cholesky factor of [hyper I + G W^-1 G^T], K x K. *)
 }
 
-type format = Json | Binary
+type format = Binary
+(** The one on-disk format. It stays a type, and an argument of
+    {!to_string} and [Store.save], only because the benchmark harness
+    names it. *)
 
 val of_fit :
   meta:meta ->
@@ -66,10 +66,11 @@ val method_name : t -> string
 (** ["BMF-ZM"] or ["BMF-NZM"], from the stored prior kind. *)
 
 val to_string : format -> t -> string
+(** The binary encoding. *)
 
 val of_string : string -> (t, string) result
-(** Sniffs the format (binary magic, else JSON), verifies the checksum
-    and all structural invariants. *)
+(** Decodes the binary encoding, verifying the magic, the checksum and
+    all structural invariants. *)
 
 val fingerprint : Linalg.Vec.t -> string
 (** Checksum over the exact IEEE bits of a float vector — used to
@@ -77,7 +78,7 @@ val fingerprint : Linalg.Vec.t -> string
 
 val checksum_hex : string -> string
 (** {!Codec.fnv64} of the whole string, as 16 lowercase hex digits: the
-    JSON codec's checksum and the {!Store} filename digest. *)
+    filename digest of {!Store} and [Ensemble.Store]. *)
 
 val write_meta : Codec.writer -> meta -> unit
 (** [circuit | metric | scale | seed]: the layout of the key in the

@@ -11,8 +11,7 @@ exception Parse_error of string
 (* ------------------------------------------------------------------ *)
 (* Canonical printing: fixed field order (the caller's), no whitespace,
    floats via %.17g so every IEEE double round-trips exactly. The
-   artifact checksum is defined over this canonical form, so the printer
-   must be a pure function of the value. *)
+   printer is a pure function of the value. *)
 
 let number_to_string f =
   if not (Float.is_finite f) then invalid_arg "Json: non-finite number";
@@ -211,7 +210,7 @@ let of_string s =
   | exception Parse_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Accessors used by the artifact decoder. *)
+(* Accessors, for readers of a parsed document. *)
 
 let member name = function
   | Obj fields -> List.assoc_opt name fields

@@ -1,11 +1,11 @@
-(** Minimal JSON tree, canonical printer and parser — enough for the
-    model artifact codec, with no external dependencies.
+(** Minimal JSON tree, canonical printer and parser, with no external
+    dependencies: enough for [/health], the ensemble stats,
+    [repro models --json] and [repro trace-merge].
 
     The printer is canonical: fixed field order (as constructed), no
     whitespace, floats via [%.17g] (integers without a fraction part) so
-    every IEEE double round-trips exactly. Artifact checksums are
-    defined over this canonical text, so [to_string (parse s) = s] for
-    any [s] the printer produced. *)
+    every IEEE double round-trips exactly, and
+    [to_string (parse s) = s] for any [s] the printer produced. *)
 
 type t =
   | Null

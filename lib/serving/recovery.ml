@@ -18,9 +18,6 @@ let m_recovered =
     ~help:"Journaled updates replayed into the store at recovery"
     "bmf_server_recovered_updates_total"
 
-let meta_key (m : Artifact.meta) =
-  Printf.sprintf "%s/%s scale=%s seed=%d" m.circuit m.metric m.scale m.seed
-
 let replay_entry ~durability ~root (e : Journal.entry) =
   match Store.load ~root e.Journal.meta with
   | Error _ ->
@@ -67,7 +64,8 @@ let recover ?(durability = `Durable) ~root () =
       | `Replayed -> incr replayed
       | `Discarded -> incr discarded
       | `Failed msg ->
-          replay_errors := (meta_key e.Journal.meta, msg) :: !replay_errors)
+          replay_errors :=
+            (Store.key_string e.Journal.meta, msg) :: !replay_errors)
     journal;
   (* 4. the journal's work is done (replayed or provably stale):
      reset it to a clean header so the next crash starts from zero *)

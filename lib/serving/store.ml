@@ -11,8 +11,6 @@ let sanitize s =
       | _ -> '_')
     s
 
-let extension = function Artifact.Json -> ".bmfa.json" | Artifact.Binary -> ".bmfa"
-
 (* [sanitize] is lossy ("gain+bw" and "gain_bw" both map to "gain_bw",
    and a circuit named "a__b" collides with the field separator), so the
    filename also carries a short digest of the raw key triple. NUL
@@ -24,21 +22,13 @@ let key_digest (meta : Artifact.meta) =
   in
   String.sub (Artifact.checksum_hex raw) 0 8
 
-let filename (meta : Artifact.meta) format =
-  Printf.sprintf "%s__%s__%s__s%d__h%s%s" (sanitize meta.circuit)
+let filename (meta : Artifact.meta) =
+  Printf.sprintf "%s__%s__%s__s%d__h%s.bmfa" (sanitize meta.circuit)
     (sanitize meta.metric) (sanitize meta.scale) meta.seed (key_digest meta)
-    (extension format)
 
-(* Pre-digest filename (PR 4 and earlier); still probed by [find] so
-   stores written by old builds keep loading. *)
-let legacy_filename (meta : Artifact.meta) format =
-  Printf.sprintf "%s__%s__%s__s%d%s" (sanitize meta.circuit)
-    (sanitize meta.metric) (sanitize meta.scale) meta.seed (extension format)
-
-let path ~root meta format = Filename.concat root (filename meta format)
-
-let legacy_path ~root meta format =
-  Filename.concat root (legacy_filename meta format)
+let key_string (meta : Artifact.meta) =
+  Printf.sprintf "%s/%s scale=%s seed=%d" meta.circuit meta.metric meta.scale
+    meta.seed
 
 let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
@@ -141,14 +131,8 @@ let write_atomic ~durability ~dir ~name data =
       timed_fsync (fun () -> fsync_dir dir));
   !fsync_s
 
-let remove_if_exists file =
-  if Sys.file_exists file then begin
-    Crashpoint.step ();
-    try Sys.remove file with Sys_error _ -> ()
-  end
-
 let save ?(format = Artifact.Binary) ?(durability = `Fast) ~root artifact =
-  let name = filename artifact.Artifact.meta format in
+  let name = filename artifact.Artifact.meta in
   let file = Filename.concat root name in
   Obs.Trace.with_span ~cat:"serving" "store_save" @@ fun sp ->
   let data = Artifact.to_string format artifact in
@@ -156,17 +140,6 @@ let save ?(format = Artifact.Binary) ?(durability = `Fast) ~root artifact =
   (match durability with
   | `Fast -> ()
   | `Durable -> Obs.Metrics.observe m_fsync_seconds fsync_s);
-  (* only after the new artifact is in place, drop stale copies under
-     the other codec's name and under the pre-digest legacy names so a
-     key never resolves to an outdated revision *)
-  let other =
-    match format with
-    | Artifact.Json -> Artifact.Binary
-    | Artifact.Binary -> Artifact.Json
-  in
-  remove_if_exists (path ~root artifact.Artifact.meta other);
-  remove_if_exists (legacy_path ~root artifact.Artifact.meta Artifact.Binary);
-  remove_if_exists (legacy_path ~root artifact.Artifact.meta Artifact.Json);
   Obs.Trace.set_attr sp "file" (Obs.Trace.Str file);
   Obs.Trace.set_attr sp "bytes" (Obs.Trace.Int (String.length data));
   Obs.Metrics.inc ~by:(float_of_int (String.length data)) m_bytes_written;
@@ -174,13 +147,8 @@ let save ?(format = Artifact.Binary) ?(durability = `Fast) ~root artifact =
   file
 
 let find ~root meta =
-  List.find_opt Sys.file_exists
-    [
-      path ~root meta Artifact.Binary;
-      path ~root meta Artifact.Json;
-      legacy_path ~root meta Artifact.Binary;
-      legacy_path ~root meta Artifact.Json;
-    ]
+  let file = Filename.concat root (filename meta) in
+  if Sys.file_exists file then Some file else None
 
 (* Sys_error text is not guaranteed to carry the path; prefix it so a
    failed read is attributable to its store file. *)
@@ -198,6 +166,21 @@ let read_file file =
       then Error msg
       else Error (file ^ ": " ^ msg)
 
+(* A file counts only under the name [find] opens for the key inside
+   it; anything else is reported, never served, so [list] and [find]
+   agree. JSON artifacts (written by older builds) are not decoded. *)
+let decode file contents =
+  let name = Filename.basename file in
+  if Filename.check_suffix name ".bmfa.json" then
+    Error "artifact: JSON artifacts are no longer read; re-fit this model"
+  else
+    match Artifact.of_string contents with
+    | Ok a when name <> filename a.Artifact.meta ->
+        Error
+          (Printf.sprintf "artifact: misnamed: %s is stored as %s"
+             (key_string a.Artifact.meta) (filename a.Artifact.meta))
+    | status -> status
+
 (* Read + decode one artifact file, measuring payload size and the
    decode/checksum-verify time (reported by [repro models] and the store
    metrics). *)
@@ -214,7 +197,7 @@ let load_file file =
       Obs.Trace.set_attr sp "bytes" (Obs.Trace.Int bytes);
       Obs.Metrics.inc ~by:(float_of_int bytes) m_bytes_read;
       let t0 = Obs.Clock.now_s () in
-      let status = Artifact.of_string contents in
+      let status = decode file contents in
       let verify_seconds = Obs.Clock.now_s () -. t0 in
       Obs.Metrics.observe m_verify_seconds verify_seconds;
       if Result.is_error status then Obs.Metrics.inc m_corrupt;
@@ -230,16 +213,11 @@ let load ~root meta =
          resolves to — the sanitized key alone is useless when several
          stores (or a mistyped --dir) are in play *)
       Error
-        (Printf.sprintf
-           "store: no artifact for %s/%s scale=%s seed=%d under %s (expected \
-            %s)"
-           meta.Artifact.circuit meta.Artifact.metric meta.Artifact.scale
-           meta.Artifact.seed root
-           (filename meta Artifact.Binary))
+        (Printf.sprintf "store: no artifact for %s under %s (expected %s)"
+           (key_string meta) root (filename meta))
 
 type entry = {
   file : string;
-  format : Artifact.format;
   bytes : int;
   verify_seconds : float;
   status : (Artifact.t, string) result;
@@ -258,20 +236,16 @@ let list ~root =
   else
     Sys.readdir root |> Array.to_list |> List.sort String.compare
     |> List.filter_map (fun name ->
-           let format =
-             if is_temp name then None
-             else if Filename.check_suffix name ".bmfa.json" then
-               Some Artifact.Json
-             else if Filename.check_suffix name ".bmfa" then
-               Some Artifact.Binary
-             else None
-           in
-           Option.map
-             (fun format ->
-               let file = Filename.concat root name in
-               let status, bytes, verify_seconds = load_file file in
-               { file; format; bytes; verify_seconds; status })
-             format)
+           if
+             is_temp name
+             || not
+                  (Filename.check_suffix name ".bmfa"
+                  || Filename.check_suffix name ".bmfa.json")
+           then None
+           else
+             let file = Filename.concat root name in
+             let status, bytes, verify_seconds = load_file file in
+             Some { file; bytes; verify_seconds; status })
 
 (* Orphaned temp files: a crash between temp-write and rename leaves a
    [.<name>.tmp.<pid>] behind. They are invisible to [find]/[list] but

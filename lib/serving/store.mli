@@ -4,9 +4,10 @@
     [ro__frequency__default__s20130602__h1a2b3c4d.bmfa]. The [__h…]
     component is a digest of the {e raw} key triple: the human-readable
     fields are sanitized lossily, so without it distinct keys
-    ("gain+bw" vs "gain_bw") would collide on one file. One key holds
-    at most one artifact; saving replaces any stale copy in the other
-    codec and under the pre-digest legacy name. *)
+    ("gain+bw" vs "gain_bw") would collide on one file. A key has one
+    file, {!filename}, in the binary {!Artifact} format; any other
+    artifact file in the directory is listed as an error, never
+    served. *)
 
 val default_root : unit -> string
 (** [$BMF_MODEL_DIR] when set, else ["models"]. *)
@@ -23,9 +24,12 @@ val sanitize : string -> string
 (** Maps every character outside [[A-Za-z0-9.-]] to ['_']: the
     readable, lossy part of a registry filename. *)
 
-val filename : Artifact.meta -> Artifact.format -> string
+val filename : Artifact.meta -> string
 (** The registry filename for a key (components sanitized, digest
-    suffix appended). *)
+    suffix and [.bmfa] appended). *)
+
+val key_string : Artifact.meta -> string
+(** ["circuit/metric scale=S seed=N"], for messages. *)
 
 val save :
   ?format:Artifact.format ->
@@ -33,16 +37,16 @@ val save :
   root:string ->
   Artifact.t ->
   string
-(** Persists an artifact under its own key, creating [root] as needed
-    (default format [Binary], default durability [`Fast]); returns the
-    file path written.
+(** Persists an artifact under {!filename} of its key, creating [root]
+    as needed (default durability [`Fast]); returns the file path
+    written. [?format] has one value, [Binary]; it stays an argument
+    only because the benchmark harness passes it.
 
     The write is crash- and race-safe: the payload goes to a private
     temp file in [root] first and is atomically renamed over the key,
     so a concurrent reader — e.g. a running serving daemon reloading
     its model cache while [repro update] saves — can never observe a
-    torn artifact. Stale copies (other codec, legacy pre-digest names)
-    are removed only after the new file is in place. *)
+    torn artifact. No other file is touched. *)
 
 (** {2 The atomic file writer}
 
@@ -74,26 +78,30 @@ val read_file : string -> (string, string) result
 (** The whole file; the error names the file. *)
 
 val find : root:string -> Artifact.meta -> string option
-(** The stored file for a key, if present (binary preferred; legacy
-    pre-digest filenames are probed after digest-suffixed ones). *)
+(** [root/]{!filename} of the key, if that file exists. *)
 
 val load : root:string -> Artifact.meta -> (Artifact.t, string) result
-(** Loads and checksum-verifies the artifact for a key. *)
+(** Loads and checksum-verifies the artifact for a key. A file that
+    holds another key is an [Error]; so is a missing one, naming the
+    expected file. *)
 
 type entry = {
   file : string;
-  format : Artifact.format;
   bytes : int;  (** On-disk size of the artifact file. *)
   verify_seconds : float;
       (** Wall-clock decode + checksum-verification time. *)
   status : (Artifact.t, string) result;
-      (** [Error] = unreadable or corrupt (checksum mismatch). *)
+      (** [Error] = unreadable, corrupt (checksum mismatch), misnamed
+          or JSON. *)
 }
 
 val list : root:string -> entry list
-(** Every artifact file in the registry, loaded and verified, sorted by
-    filename. An empty or missing root yields []. Temp files from
-    interrupted saves are excluded. *)
+(** Every [*.bmfa] and [*.bmfa.json] file in the registry, loaded and
+    verified, sorted by filename. An empty or missing root yields [].
+    Temp files from interrupted saves are excluded. Two kinds of file
+    are [Error] entries that {!find} never returns: a [.bmfa] not named
+    {!filename} of the key inside it (such as a pre-digest name written
+    by an older build), and a JSON artifact, which is no longer read. *)
 
 val list_temp_files : root:string -> string list
 (** Orphaned [.*.tmp.*] files left by a save that crashed between the

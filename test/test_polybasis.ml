@@ -234,8 +234,32 @@ let test_basis_orthonormality_quadratic_mc () =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
+(* [Multi_index.of_pairs] as it was written with a hash table, kept as
+   the reference for its sort-and-merge body. *)
+let of_pairs_reference pairs =
+  List.iter
+    (fun (v, d) ->
+      if v < 0 then invalid_arg "Multi_index.of_pairs: negative variable";
+      if d < 0 then invalid_arg "Multi_index.of_pairs: negative degree")
+    pairs;
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (v, d) ->
+      let cur = try Hashtbl.find tbl v with Not_found -> 0 in
+      Hashtbl.replace tbl v (cur + d))
+    pairs;
+  let entries =
+    Hashtbl.fold (fun v d acc -> if d > 0 then (v, d) :: acc else acc) tbl []
+  in
+  let arr = Array.of_list entries in
+  Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) arr;
+  arr
+
 let qcheck_tests =
   let open QCheck in
+  let outcome f pairs =
+    match f pairs with t -> Ok t | exception Invalid_argument m -> Error m
+  in
   [
     Test.make ~name:"hermite-parity" ~count:200
       (make Gen.(pair (int_range 0 10) (float_range (-3.) 3.)))
@@ -260,6 +284,16 @@ let qcheck_tests =
       (fun x ->
         let b = Basis.linear 4 in
         (Basis.eval_row b x).(0) = 1.);
+    (* duplicates, zero degrees, unsorted and sorted runs, and the odd
+       negative variable or degree, whose message must match too *)
+    Test.make ~name:"of-pairs-matches-reference" ~count:2000
+      (make
+         ~print:Print.(list (pair int int))
+         Gen.(
+           list_size (int_range 0 12)
+             (pair (int_range (-1) 9) (int_range (-1) 3))))
+      (fun pairs ->
+        outcome Multi_index.of_pairs pairs = outcome of_pairs_reference pairs);
   ]
 
 let () =

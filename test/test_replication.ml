@@ -359,6 +359,21 @@ let test_source_catchup_and_acks () =
 (* ------------------------------------------------------------------ *)
 (* Follower apply                                                      *)
 
+(* A small artifact under [meta] at rev 51, in the checksummed JSON
+   artifact format that older builds also wrote, as one of them wrote
+   it. *)
+let json_snapshot =
+  "{\"format\":\"bmf-model-artifact\",\"version\":1,\"checksum\":\"49ae474f553d6495\",\
+   \"payload\":{\"meta\":{\"circuit\":\"test\",\"metric\":\"m\",\
+   \"scale\":\"repl\",\"seed\":7},\"rev\":51,\"hyper\":0.5,\"cv_error\":\"nan\",\
+   \"sigma0_sq\":0.078151850859091446,\"basis\":{\"dim\":2,\"terms\":[[],\
+   [[0,1]],[[1,1]]]},\"prior\":{\"kind\":\"nonzero-mean\",\"means\":[1,\
+   0.5,0.25],\"weights\":[1,4,16],\"informed\":[true,true,true]},\
+   \"coeffs\":[0.87561792377611236,0.70164248126295647,0.23313666081964599],\
+   \"samples\":3,\"g\":[1,0.5,-1,1,-0.25,0.75,1,1,0.5],\"f\":[1,\
+   0.5,2],\"chol\":[1.2747548783981961,0.72317824832205369,1.0138019881386335,\
+   0.85800809122955524,0.3358098677272538,0.95743346929257678]}}"
+
 (* A streamed entry goes through the same [Serving.Update] rule and
    commit as a leader update; snapshots install through
    [Replication.Apply.snapshot]. *)
@@ -431,9 +446,22 @@ let test_apply_entry_and_snapshot () =
   | Ok b ->
       check_int "older snapshot skipped, local kept" 50 b.Serving.Artifact.rev
   | Error e -> Alcotest.failf "older snapshot errored: %s" e);
-  match Replication.Apply.snapshot ~durability:`Fast ~root "garbage" with
+  (match Replication.Apply.snapshot ~durability:`Fast ~root "garbage" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage snapshot installed"
+  | Ok _ -> Alcotest.fail "garbage snapshot installed");
+  (* a JSON artifact, as older builds wrote them, even a newer one
+     (rev 51) under the same key: the follower decodes only the binary
+     format leaders send *)
+  let store_bytes () =
+    Option.map Serving.Store.read_file (Serving.Store.find ~root meta)
+  in
+  let before = store_bytes () in
+  (match Replication.Apply.snapshot ~durability:`Fast ~root json_snapshot with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "JSON snapshot installed");
+  check_bool "JSON snapshot leaves the store" true (store_bytes () = before);
+  check_int "one file in the store" 1
+    (List.length (Serving.Store.list ~root))
 
 (* ------------------------------------------------------------------ *)
 (* In-process leader/follower pair                                     *)

@@ -1,4 +1,4 @@
-(* Tests for the serving subsystem: artifact codecs and checksums, the
+(* Tests for the serving subsystem: the artifact codec and checksums, the
    on-disk store, the batch predictor, and exact incremental updates. *)
 
 let check_bool = Alcotest.(check bool)
@@ -54,7 +54,7 @@ let queries ?(rng = rng) (s : synth) n =
   Linalg.Mat.of_rows (List.init n (fun _ -> Stats.Rng.gaussian_vec rng r))
 
 (* ------------------------------------------------------------------ *)
-(* Artifact codecs                                                     *)
+(* Artifact codec                                                      *)
 
 (* FNV-1a 64 known answers, over whole strings and byte ranges, and a
    hash that allocates O(1) minor words whatever the range size: it runs
@@ -99,10 +99,10 @@ let test_of_fit_matches_solver () =
   check_bool "coeffs bit-identical to Map_solver fast path" true
     (Array.for_all2 (fun a b -> Float.equal a b) a.coeffs direct)
 
-let roundtrip format () =
+let test_roundtrip_binary () =
   let s = make_synth () in
   let a = artifact_of s in
-  let encoded = Serving.Artifact.to_string format a in
+  let encoded = Serving.Artifact.to_string Serving.Artifact.Binary a in
   let b =
     match Serving.Artifact.of_string encoded with
     | Ok b -> b
@@ -121,10 +121,6 @@ let roundtrip format () =
   check_string "prediction fingerprint" (Serving.Artifact.fingerprint pa)
     (Serving.Artifact.fingerprint pb)
 
-let test_roundtrip_json = roundtrip Serving.Artifact.Json
-
-let test_roundtrip_binary = roundtrip Serving.Artifact.Binary
-
 let test_binary_corruption_detected () =
   let s = make_synth ~k:20 ~r:10 () in
   let a = artifact_of s in
@@ -142,25 +138,6 @@ let test_binary_corruption_detected () =
   with
   | Ok _ -> Alcotest.fail "truncated binary artifact accepted"
   | Error _ -> ()
-
-let test_json_corruption_detected () =
-  let s = make_synth ~k:20 ~r:10 () in
-  let a = artifact_of s in
-  let encoded = Serving.Artifact.to_string Serving.Artifact.Json a in
-  (* alter a payload value the checksum must cover: bump the seed digit
-     (a 17th-mantissa-digit flip could round back to the same double
-     and so legitimately re-verify) *)
-  let tag = "\"seed\":" in
-  let pos = Str.search_forward (Str.regexp_string tag) encoded 0 in
-  let pos = pos + String.length tag in
-  let buf = Bytes.of_string encoded in
-  check_string "seed digit" "7" (String.make 1 (Bytes.get buf pos));
-  Bytes.set buf pos '8';
-  match Serving.Artifact.of_string (Bytes.to_string buf) with
-  | Ok _ -> Alcotest.fail "corrupt JSON artifact accepted"
-  | Error e ->
-      check_bool "mentions checksum" true
-        (Str.string_match (Str.regexp ".*checksum.*") e 0)
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
@@ -197,10 +174,6 @@ let test_store_save_load_list () =
         (Array.for_all2 Float.equal a.coeffs b.coeffs));
   check_bool "verify ok" true
     (Result.is_ok (Serving.Store.verify ~root meta));
-  (* saving as JSON replaces the stale binary copy: still one entry *)
-  let file_json = Serving.Store.save ~format:Serving.Artifact.Json ~root a in
-  check_bool "json file exists" true (Sys.file_exists file_json);
-  check_bool "binary copy removed" false (Sys.file_exists file);
   let entries = Serving.Store.list ~root in
   check_int "one entry" 1 (List.length entries);
   check_bool "entry ok" true
@@ -213,10 +186,9 @@ let test_store_atomic_save () =
   let s = make_synth ~k:20 ~r:10 () in
   let a = artifact_of s in
   (* saves go through a private temp file + rename; none may survive,
-     in either codec or when overwriting an existing entry *)
+     also when overwriting an existing entry *)
   ignore (Serving.Store.save ~root a);
   ignore (Serving.Store.save ~root a);
-  ignore (Serving.Store.save ~format:Serving.Artifact.Json ~root a);
   let leftovers =
     Array.to_list (Sys.readdir root)
     |> List.filter (fun f ->
@@ -476,7 +448,7 @@ let test_incremental_rejects_bad_rows () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Store filename collisions + legacy names                            *)
+(* Store filename collisions, misnamed and JSON files                  *)
 
 let test_store_collision_distinct_files () =
   with_temp_root @@ fun root ->
@@ -491,8 +463,8 @@ let test_store_collision_distinct_files () =
   in
   check_bool "filenames differ" false
     (String.equal
-       (Serving.Store.filename meta_a Serving.Artifact.Binary)
-       (Serving.Store.filename meta_b Serving.Artifact.Binary));
+       (Serving.Store.filename meta_a)
+       (Serving.Store.filename meta_b));
   let file_a = Serving.Store.save ~root (art meta_a) in
   let file_b = Serving.Store.save ~root (art meta_b) in
   check_bool "both files live" true
@@ -505,24 +477,77 @@ let test_store_collision_distinct_files () =
   | Error e -> Alcotest.failf "load gain_bw: %s" e
   | Ok b -> check_string "right artifact back" "gain_bw" b.meta.metric
 
-let test_store_loads_legacy_names () =
+let contains s sub =
+  match Str.search_forward (Str.regexp_string sub) s 0 with
+  | _ -> true
+  | exception Not_found -> false
+
+(* The store serves a file only under [Store.filename] of the key inside
+   it. An artifact under its pre-digest name, as a build before the
+   digest suffix left it, is reported with the name it belongs under. *)
+let test_store_reports_misnamed () =
+  with_temp_root @@ fun root ->
+  let s = make_synth ~k:20 ~r:10 () in
+  let file = Serving.Store.save ~root (artifact_of s) in
+  let misnamed = Filename.concat root "test__m__quick__s7.bmfa" in
+  Sys.rename file misnamed;
+  let expected = Serving.Store.filename meta in
+  (match Serving.Store.load ~root meta with
+  | Ok _ -> Alcotest.fail "misnamed artifact loaded"
+  | Error e ->
+      check_bool "load names the expected file" true (contains e expected));
+  (match Serving.Store.list ~root with
+  | [ { file; status = Error e; _ } ] ->
+      check_string "the misnamed file is listed" misnamed file;
+      check_bool "list names the expected file" true (contains e expected)
+  | _ -> Alcotest.fail "misnamed artifact not listed as an error");
+  check_bool "recovery is not clean" false
+    (Serving.Recovery.clean
+       (Serving.Recovery.recover ~durability:`Fast ~root ()))
+
+(* A JSON artifact, as older builds wrote beside the binary one, forged:
+   its first term is [[-1,1]] under a valid payload checksum (FNV-1a is
+   not a MAC). Decoding it would raise out of [Store.list], and so out
+   of the recovery a daemon runs before it binds; JSON files are listed
+   as errors without being decoded. *)
+let forged_json =
+  "{\"format\":\"bmf-model-artifact\",\"version\":1,\"checksum\":\"eb3ff4e6e537c83e\",\
+   \"payload\":{\"meta\":{\"circuit\":\"test\",\"metric\":\"m\",\
+   \"scale\":\"quick\",\"seed\":7},\"rev\":0,\"hyper\":0.5,\"cv_error\":\"nan\",\
+   \"sigma0_sq\":0.078151850859091446,\"basis\":{\"dim\":2,\"terms\":[[[-1,\
+   1]],[[0,1]],[[1,1]]]},\"prior\":{\"kind\":\"nonzero-mean\",\"means\":[1,\
+   0.5,0.25],\"weights\":[1,4,16],\"informed\":[true,true,true]},\
+   \"coeffs\":[0.87561792377611236,0.70164248126295647,0.23313666081964599],\
+   \"samples\":3,\"g\":[1,0.5,-1,1,-0.25,0.75,1,1,0.5],\"f\":[1,\
+   0.5,2],\"chol\":[1.2747548783981961,0.72317824832205369,1.0138019881386335,\
+   0.85800809122955524,0.3358098677272538,0.95743346929257678]}}"
+
+let test_store_reports_json () =
   with_temp_root @@ fun root ->
   let s = make_synth ~k:20 ~r:10 () in
   let a = artifact_of s in
   let file = Serving.Store.save ~root a in
-  (* rewrite the store as an old (pre-digest) build would have left it *)
-  let legacy = Filename.concat root "test__m__quick__s7.bmfa" in
-  Sys.rename file legacy;
-  (match Serving.Store.load ~root meta with
-  | Error e -> Alcotest.failf "legacy-named artifact not loaded: %s" e
+  let json = file ^ ".json" in
+  let oc = open_out_bin json in
+  output_string oc forged_json;
+  close_out oc;
+  (match
+     List.find_opt
+       (fun (e : Serving.Store.entry) -> e.file = json)
+       (Serving.Store.list ~root)
+   with
+  | Some { status = Error e; _ } ->
+      check_bool "says JSON is not read" true (contains e "JSON")
+  | _ -> Alcotest.fail "JSON artifact not listed as an error");
+  let report = Serving.Recovery.recover ~durability:`Fast ~root () in
+  check_bool "recovery is not clean" false (Serving.Recovery.clean report);
+  check_bool "JSON file reported corrupt" true
+    (List.map fst report.Serving.Recovery.corrupt = [ json ]);
+  match Serving.Store.load ~root meta with
+  | Error e -> Alcotest.failf "valid artifact not loaded: %s" e
   | Ok b ->
-      check_bool "coeffs survive legacy name" true
-        (Array.for_all2 Float.equal a.coeffs b.coeffs));
-  (* re-saving migrates: digest name in place, stale legacy copy gone *)
-  let file' = Serving.Store.save ~root a in
-  check_bool "digest-named file written" true (Sys.file_exists file');
-  check_bool "legacy copy removed" false (Sys.file_exists legacy);
-  check_int "one registry entry" 1 (List.length (Serving.Store.list ~root))
+      check_bool "valid artifact loads" true
+        (Array.for_all2 Float.equal a.coeffs b.coeffs)
 
 (* ------------------------------------------------------------------ *)
 (* Journal codec                                                       *)
@@ -1046,7 +1071,32 @@ let test_artifact_codec_allocation_gate () =
     Alcotest.failf
       "Artifact.of_string: %.0f minor words at K=50, %.0f at K=200 \
        (%.1f per added sample, budget 2)"
-      load50 load200 per_sample
+      load50 load200 per_sample;
+  (* Per term: on a wide basis the terms are most of a load's minor
+     words (the circuit bases have hundreds of terms). The RO quick
+     artifact (573 terms) measured 21 words per term, 88 when
+     [Multi_index.of_pairs] hashed every term. *)
+  let r = 500 in
+  let wide_basis = Polybasis.Basis.linear r in
+  let wide =
+    Serving.Artifact.of_fit ~meta ~basis:wide_basis
+      ~prior:(Bmf.Prior.nonzero_mean (Array.make (r + 1) (Some 1.)))
+      ~hyper:1.
+      ~g:
+        (Polybasis.Basis.design_matrix wide_basis
+           (Stats.Sampling.monte_carlo (Stats.Rng.create 6061) ~k:8 ~r))
+      ~f:(Array.init 8 float_of_int) ()
+  in
+  let bytes = Serving.Artifact.to_string Serving.Artifact.Binary wide in
+  let per_term =
+    words_per_call (fun () -> Serving.Artifact.of_string bytes)
+    /. float_of_int (r + 1)
+  in
+  if per_term > 32. then
+    Alcotest.failf
+      "Artifact.of_string: %.1f minor words per term over %d terms \
+       (budget 32)"
+      per_term (r + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Golden fingerprints, captured from the seed float-array kernels
@@ -1200,12 +1250,9 @@ let () =
             test_of_fit_matches_solver;
           Alcotest.test_case "fnv64 known answers, O(1) words" `Quick
             test_fnv64;
-          Alcotest.test_case "json round-trip" `Quick test_roundtrip_json;
           Alcotest.test_case "binary round-trip" `Quick test_roundtrip_binary;
           Alcotest.test_case "binary corruption" `Quick
             test_binary_corruption_detected;
-          Alcotest.test_case "json corruption" `Quick
-            test_json_corruption_detected;
         ] );
       ( "store",
         [
@@ -1215,8 +1262,10 @@ let () =
             test_store_detects_tampering;
           Alcotest.test_case "sanitize collisions" `Quick
             test_store_collision_distinct_files;
-          Alcotest.test_case "legacy names load" `Quick
-            test_store_loads_legacy_names;
+          Alcotest.test_case "misnamed file reported" `Quick
+            test_store_reports_misnamed;
+          Alcotest.test_case "leftover JSON reported" `Quick
+            test_store_reports_json;
         ] );
       ( "journal",
         [
