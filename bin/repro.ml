@@ -457,12 +457,23 @@ let durability_arg ~default =
            acknowledging — survives SIGKILL and power loss; $(b,fast) \
            leaves flushing to the kernel (atomic visibility only).")
 
-let run_fit (scale_name, (cfg : Experiments.Config.t)) verbose circuit
-    metric_opt k dir durability trace metrics =
-  with_obs ~trace ~metrics "repro_fit" @@ fun () ->
-  let progress = progress_of verbose in
+let meta_of (scale_name, (cfg : Experiments.Config.t)) circuit metric_opt =
   let tb = testbench_of cfg circuit in
   let metric = resolve_metric tb metric_opt in
+  ( tb,
+    metric,
+    {
+      Serving.Artifact.circuit;
+      metric = tb.metrics.(metric);
+      scale = scale_name;
+      seed = cfg.seed;
+    } )
+
+(* The BMF-PS fit behind `fit` and `stats`: the early-stage prior, [k]
+   layout samples, the fused posterior, captured as an artifact. *)
+let fit_artifact ~progress ((_, (cfg : Experiments.Config.t)) as scale)
+    circuit metric_opt k =
+  let tb, metric, meta = meta_of scale circuit metric_opt in
   progress "fitting early-stage model (prior)";
   let prep = Experiments.Runner.prepare cfg tb ~metric in
   let data_rng, cv_rng = fit_rngs cfg ~metric in
@@ -477,17 +488,13 @@ let run_fit (scale_name, (cfg : Experiments.Config.t)) verbose circuit
     Bmf.Fusion.fit_design ~rng:cv_rng ~config ~early:prep.early ~g ~f
       Bmf.Fusion.Bmf_ps
   in
-  let meta =
-    {
-      Serving.Artifact.circuit;
-      metric = tb.metrics.(metric);
-      scale = scale_name;
-      seed = cfg.seed;
-    }
-  in
+  Serving.Artifact.of_fit ~meta ~basis:prep.late_basis ~prior:fitted.prior
+    ~hyper:fitted.hyper ~cv_error:fitted.cv_error ~g ~f ()
+
+let run_fit scale verbose circuit metric_opt k dir durability trace metrics =
+  with_obs ~trace ~metrics "repro_fit" @@ fun () ->
   let artifact =
-    Serving.Artifact.of_fit ~meta ~basis:prep.late_basis ~prior:fitted.prior
-      ~hyper:fitted.hyper ~cv_error:fitted.cv_error ~g ~f ()
+    fit_artifact ~progress:(progress_of verbose) scale circuit metric_opt k
   in
   let file = Serving.Store.save ~durability ~root:(root_of dir) artifact in
   Printf.printf "saved %s\n  %s\n" file (describe artifact);
@@ -501,19 +508,10 @@ let fit_cmd =
       $ fit_samples_arg $ dir_arg $ durability_arg ~default:`Fast
       $ trace_arg $ metrics_arg)
 
-let run_predict (scale_name, (cfg : Experiments.Config.t)) _verbose circuit
-    metric_opt dir trace metrics =
+let run_predict ((scale_name, _) as scale) _verbose circuit metric_opt dir
+    trace metrics =
   with_obs ~trace ~metrics "repro_predict" @@ fun () ->
-  let tb = testbench_of cfg circuit in
-  let metric = resolve_metric tb metric_opt in
-  let meta =
-    {
-      Serving.Artifact.circuit;
-      metric = tb.metrics.(metric);
-      scale = scale_name;
-      seed = cfg.seed;
-    }
-  in
+  let _, _, meta = meta_of scale circuit metric_opt in
   match Serving.Store.load ~root:(root_of dir) meta with
   | Error e ->
       Printf.eprintf "%s\n(fit one first: repro fit --circuit %s --scale %s)\n"
@@ -548,20 +546,11 @@ let no_check_arg =
     & info [ "no-check" ]
         ~doc:"Skip the cold-refit cross-check (and its timing).")
 
-let run_update (scale_name, (cfg : Experiments.Config.t)) verbose circuit
-    metric_opt k_new dir no_check durability trace metrics =
+let run_update ((scale_name, (cfg : Experiments.Config.t)) as scale) verbose
+    circuit metric_opt k_new dir no_check durability trace metrics =
   with_obs ~trace ~metrics "repro_update" @@ fun () ->
   let progress = progress_of verbose in
-  let tb = testbench_of cfg circuit in
-  let metric = resolve_metric tb metric_opt in
-  let meta =
-    {
-      Serving.Artifact.circuit;
-      metric = tb.metrics.(metric);
-      scale = scale_name;
-      seed = cfg.seed;
-    }
-  in
+  let tb, metric, meta = meta_of scale circuit metric_opt in
   let root = root_of dir in
   match Serving.Store.load ~root meta with
   | Error e ->
@@ -582,10 +571,12 @@ let run_update (scale_name, (cfg : Experiments.Config.t)) verbose circuit
           ~rng ~k:k_new ()
       in
       progress (Printf.sprintf "folding in %d new samples" k_new);
-      let upd = Serving.Incremental.of_artifact artifact in
+      (* the fold the daemon, its followers and recovery run *)
       let t0 = Unix.gettimeofday () in
-      Serving.Incremental.add_batch upd ~xs ~f;
-      let coeffs = Serving.Incremental.coeffs upd in
+      let updated =
+        Serving.Update.fold artifact
+          { Serving.Journal.meta; base_rev = artifact.rev; xs; f }
+      in
       let incremental_s = Unix.gettimeofday () -. t0 in
       Printf.printf
         "incremental update: K %d -> %d in %.4f s (rank-1 bordering, no M x \
@@ -595,11 +586,9 @@ let run_update (scale_name, (cfg : Experiments.Config.t)) verbose circuit
         let m = Serving.Artifact.num_terms artifact in
         let t1 = Unix.gettimeofday () in
         let g_new = Polybasis.Basis.design_matrix (Serving.Artifact.basis artifact) xs in
-        let g_full =
-          Linalg.Mat.init (k0 + k_new) m (fun i j ->
-              if i < k0 then Linalg.Mat.get artifact.g i j
-              else Linalg.Mat.get g_new (i - k0) j)
-        in
+        let g_full = Linalg.Mat.create (k0 + k_new) m in
+        Linalg.Mat.blit_rows ~src:artifact.g ~dst:g_full ~dst_row:0;
+        Linalg.Mat.blit_rows ~src:g_new ~dst:g_full ~dst_row:k0;
         let f_full = Array.append artifact.f f in
         let cold =
           Bmf.Map_solver.solve ~solver:Bmf.Map_solver.Fast_woodbury ~g:g_full
@@ -607,7 +596,7 @@ let run_update (scale_name, (cfg : Experiments.Config.t)) verbose circuit
         in
         let refit_s = Unix.gettimeofday () -. t1 in
         let max_diff =
-          Linalg.Vec.norm_inf (Linalg.Vec.sub coeffs cold)
+          Linalg.Vec.norm_inf (Linalg.Vec.sub updated.coeffs cold)
         in
         Printf.printf
           "cold refit on %d samples: %.4f s  (speedup %.1fx)\n\
@@ -620,7 +609,6 @@ let run_update (scale_name, (cfg : Experiments.Config.t)) verbose circuit
           exit 1
         end
       end;
-      let updated = Serving.Incremental.to_artifact upd in
       let file = Serving.Store.save ~durability ~root updated in
       Printf.printf "saved %s\n  %s\n" file (describe updated);
       print_predictions updated
@@ -959,18 +947,6 @@ let serve_cmd =
       $ port_arg $ queue_arg $ max_batch_arg $ jobs_arg
       $ durability_arg ~default:`Durable $ metrics_arg $ follow_arg
       $ http_addr_arg $ shards_arg $ serve_events_arg $ serve_trace_arg)
-
-let meta_of (scale_name, (cfg : Experiments.Config.t)) circuit metric_opt =
-  let tb = testbench_of cfg circuit in
-  let metric = resolve_metric tb metric_opt in
-  ( tb,
-    metric,
-    {
-      Serving.Artifact.circuit;
-      metric = tb.metrics.(metric);
-      scale = scale_name;
-      seed = cfg.seed;
-    } )
 
 (* ------------------------------------------------------------------ *)
 (* `repro ensemble`: manage BMA ensembles over the registry
@@ -1720,41 +1696,13 @@ let gauge_line label name =
       Printf.printf "  %-28s %.6g\n" label (Obs.Metrics.gauge_value g)
   | _ -> Printf.printf "  %-28s (not recorded)\n" label
 
-let run_stats (scale_name, (cfg : Experiments.Config.t)) verbose circuit
-    metric_opt k trace metrics =
+let run_stats scale verbose circuit metric_opt k trace metrics =
   let progress = progress_of verbose in
-  let tb = testbench_of cfg circuit in
-  let metric = resolve_metric tb metric_opt in
   Obs.Trace.start ();
   Obs.Metrics.enable ();
   let artifact =
     Obs.Trace.with_span ~cat:"cli" "repro_stats" @@ fun _ ->
-    progress "fitting early-stage model (prior)";
-    let prep = Experiments.Runner.prepare cfg tb ~metric in
-    let data_rng, cv_rng = fit_rngs cfg ~metric in
-    let xs, f =
-      Circuit.Testbench.draw_dataset tb ~stage:Circuit.Stage.Layout ~metric
-        ~rng:data_rng ~k ()
-    in
-    let g = Polybasis.Basis.design_matrix prep.late_basis xs in
-    progress (Printf.sprintf "fusing %d late-stage samples (BMF-PS)" k);
-    let config = { Bmf.Fusion.default_config with cv_folds = cfg.cv_folds } in
-    let fitted =
-      Bmf.Fusion.fit_design ~rng:cv_rng ~config ~early:prep.early ~g ~f
-        Bmf.Fusion.Bmf_ps
-    in
-    let meta =
-      {
-        Serving.Artifact.circuit;
-        metric = tb.metrics.(metric);
-        scale = scale_name;
-        seed = cfg.seed;
-      }
-    in
-    let artifact =
-      Serving.Artifact.of_fit ~meta ~basis:prep.late_basis ~prior:fitted.prior
-        ~hyper:fitted.hyper ~cv_error:fitted.cv_error ~g ~f ()
-    in
+    let artifact = fit_artifact ~progress scale circuit metric_opt k in
     let pred = Serving.Predictor.of_artifact artifact in
     ignore (Serving.Predictor.predict_with_std pred (query_points artifact));
     artifact

@@ -46,12 +46,6 @@ let auto_grid ?(decades_below = 5) ?(decades_above = 3) ?(per_decade = 1) ~g
       in
       scale *. (10. ** decade))
 
-let submatrix_rows g idx =
-  let _, m = Linalg.Mat.dims g in
-  Linalg.Mat.init (Array.length idx) m (fun i j -> Linalg.Mat.get g idx.(i) j)
-
-let subvector f idx = Array.map (fun i -> f.(i)) idx
-
 (* Held-out error denominator: relative error normalizes by |f_v|, but a
    validation group of near-zero responses (late-stage samples centered
    on zero) would inflate every candidate's score towards inf/NaN. Below
@@ -66,7 +60,7 @@ let error_denom fv =
    relative error into [err_acc]. The fast path shares work across
    candidates: the fold matrix B = G W^-1 G^T and residual r are
    computed once, then each candidate costs one K x K Cholesky of
-   (t I + B) in [Map_solver.woodbury]. Any other solver runs its naive
+   (t I + B) in [Linalg.Woodbury.solve]. Any other solver runs its naive
    per-candidate solve — the conventional-solver fitting cost of
    Fig. 5. *)
 let fold_errors ~solver ~(prior : Prior.t) ~gt ~ft ~gv ~fv ~candidates
@@ -79,7 +73,7 @@ let fold_errors ~solver ~(prior : Prior.t) ~gt ~ft ~gv ~fv ~candidates
         let core = Linalg.Mat.weighted_outer_gram gt w_inv in
         fun t ->
           fst
-            (Map_solver.woodbury ~g:gt ~w_inv ~means:prior.means ~core ~r
+            (Linalg.Woodbury.solve ~g:gt ~w_inv ~means:prior.means ~core ~r
                ~hyper:t)
     | Map_solver.Direct_cholesky ->
         fun t ->
@@ -130,8 +124,10 @@ let cv_errors ?rng ?(solver = Map_solver.Fast_woodbury) ~folds ~g ~f ~prior
     Obs.Trace.set_attr sp "test" (Obs.Trace.Int (Array.length test));
     Obs.Metrics.inc m_cv_folds;
     Obs.Metrics.inc ~by:(float_of_int n_cand) m_cv_candidates;
-    let gt = submatrix_rows g train and ft = subvector f train in
-    let gv = submatrix_rows g test and fv = subvector f test in
+    let gt = Linalg.Mat.gather_rows g train
+    and ft = Linalg.Vec.gather f train in
+    let gv = Linalg.Mat.gather_rows g test
+    and fv = Linalg.Vec.gather f test in
     let err_acc = Array.make n_cand 0. in
     fold_errors ~solver ~prior ~gt ~ft ~gv ~fv ~candidates ~err_acc;
     err_acc

@@ -48,6 +48,13 @@ let check ~g ~f ~weights ~means ~hyper =
         invalid_arg "Map_solver: weights must be positive and finite")
     weights
 
+(* sigma_0^2 from the training residual f - G alpha, floored so the
+   predictive variance stays positive on an interpolating fit. *)
+let noise_estimate ~g ~f coeffs =
+  let r = Linalg.Vec.sub f (Linalg.Mat.gemv g coeffs) in
+  Float.max 1e-300
+    (Linalg.Vec.dot r r /. float_of_int (Stdlib.max 1 (Linalg.Mat.rows g)))
+
 (* Residual of the prior mean: f - G mu. Skipped when mu = 0. *)
 let prior_residual ~g ~f ~means =
   if Array.for_all (fun x -> x = 0.) means then f
@@ -75,20 +82,6 @@ let solve_direct ~g ~f ~weights ~means ~hyper =
   let gamma = Linalg.Cholesky.solve fact rhs in
   Array.init m (fun i -> means.(i) +. (s.(i) *. gamma.(i)))
 
-(* alpha = mu + W^-1 G^T v: the dual form's map from the K-dimensional
-   solve back to coefficient space. *)
-let dual_coeffs ~g ~w_inv ~means v =
-  let gtv = Linalg.Mat.gemv_t g v in
-  Array.init (Array.length means) (fun i ->
-      means.(i) +. (w_inv.(i) *. gtv.(i)))
-
-let woodbury ~g ~w_inv ~means ~core ~r ~hyper =
-  let k = Linalg.Mat.rows g in
-  let fact =
-    Linalg.Cholesky.factorize (Linalg.Mat.add_diag core (Array.make k hyper))
-  in
-  (dual_coeffs ~g ~w_inv ~means (Linalg.Cholesky.solve fact r), fact)
-
 (* Fast path (eq. 53-58): the paper's low-rank identity, in the stable
    dual form
      alpha = mu + W^-1 G^T (t I + G W^-1 G^T)^-1 (f - G mu)
@@ -98,7 +91,9 @@ let solve_fast ~g ~f ~weights ~means ~hyper =
   let r = prior_residual ~g ~f ~means in
   let w_inv = Array.map (fun w -> 1. /. w) weights in
   let core = Linalg.Mat.weighted_outer_gram g w_inv in
-  let ((_, fact) as solved) = woodbury ~g ~w_inv ~means ~core ~r ~hyper in
+  let ((_, fact) as solved) =
+    Linalg.Woodbury.solve ~g ~w_inv ~means ~core ~r ~hyper
+  in
   if Obs.live () then begin
     last_cond := Linalg.Cholesky.cond_estimate fact;
     Obs.Metrics.set m_woodbury_cond !last_cond;

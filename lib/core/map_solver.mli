@@ -20,8 +20,9 @@
     Both return identical answers to roundoff; tests assert this.
 
     The fast path's dual form [alpha = mu + W^-1 G^T v] is written once,
-    in {!dual_coeffs}; the artifact build, the CV fold sweep and the
-    incremental updater all reach it through this module. *)
+    in {!Linalg.Woodbury}; the artifact build (through {!solve_fast}),
+    the CV fold sweep, the incremental updater and ridge regression all
+    solve through it. *)
 
 type solver = Direct_cholesky | Fast_woodbury
 
@@ -55,26 +56,13 @@ val prior_residual :
   g:Linalg.Mat.t -> f:Linalg.Vec.t -> means:Linalg.Vec.t -> Linalg.Vec.t
 (** [f - G mu]; [f] itself when [mu = 0]. *)
 
-val dual_coeffs :
-  g:Linalg.Mat.t ->
-  w_inv:Linalg.Vec.t ->
-  means:Linalg.Vec.t ->
-  Linalg.Vec.t ->
-  Linalg.Vec.t
-(** [dual_coeffs ~g ~w_inv ~means v] is [mu + W^-1 G^T v], mapping the
-    solution [v] of the K x K core system back to coefficient space. *)
-
-val woodbury :
-  g:Linalg.Mat.t ->
-  w_inv:Linalg.Vec.t ->
-  means:Linalg.Vec.t ->
-  core:Linalg.Mat.t ->
-  r:Linalg.Vec.t ->
-  hyper:float ->
-  Linalg.Vec.t * Linalg.Cholesky.t
-(** The Woodbury solve against a precomputed core [B = G W^-1 G^T]:
-    factors [C = hyper I + B] and returns [dual_coeffs (C^-1 r)] with the
-    factor of [C]. Callers sweeping [hyper] share one [B]. Unchecked. *)
+val noise_estimate :
+  g:Linalg.Mat.t -> f:Linalg.Vec.t -> Linalg.Vec.t -> float
+(** [noise_estimate ~g ~f alpha] is the noise variance [sigma_0^2]
+    estimated from the training residual,
+    [max 1e-300 (|f - G alpha|^2 / max 1 K)]: what the artifact, the
+    incremental updater and {!Posterior} store as the predictive noise
+    floor. *)
 
 val solve_fast :
   g:Linalg.Mat.t ->

@@ -5,7 +5,7 @@ type t = {
 }
 
 let compute ?sigma0_sq ~g ~f ~prior ~hyper () =
-  let k, m = Linalg.Mat.dims g in
+  let m = Linalg.Mat.cols g in
   if Prior.size prior <> m then invalid_arg "Posterior.compute: prior mismatch";
   let mean =
     Map_solver.solve ~solver:Map_solver.Direct_cholesky ~g ~f ~prior ~hyper ()
@@ -15,9 +15,7 @@ let compute ?sigma0_sq ~g ~f ~prior ~hyper () =
     | Some s ->
         if s <= 0. then invalid_arg "Posterior.compute: sigma0_sq <= 0";
         s
-    | None ->
-        let r = Linalg.Vec.sub f (Linalg.Mat.gemv g mean) in
-        Float.max 1e-300 (Linalg.Vec.dot r r /. float_of_int (Stdlib.max 1 k))
+    | None -> Map_solver.noise_estimate ~g ~f mean
   in
   let gram = Linalg.Mat.gram g in
   let shifted =

@@ -63,7 +63,9 @@ let map_term t term =
                expand (i + 1) ((late_var t ~sch:v ~finger, d) :: acc)))
       end
     in
-    List.map Polybasis.Multi_index.of_pairs (expand 0 [])
+    List.map
+      (fun pairs -> Polybasis.Multi_index.of_pairs (Array.of_list pairs))
+      (expand 0 [])
   end
 
 let group_size t term =

@@ -28,10 +28,6 @@ let route progress msg =
   observe_progress msg;
   progress msg
 
-let prefix_rows g k =
-  let _, m = Linalg.Mat.dims g in
-  Linalg.Mat.init k m (fun i j -> Linalg.Mat.get g i j)
-
 let prepare ?(early_fit = Omp_early) (cfg : Config.t) tb ~metric =
   let rng = Stats.Rng.create (cfg.Config.seed + (metric * 613)) in
   let stage = Circuit.Stage.Schematic in
@@ -97,7 +93,7 @@ let run_repeat ~progress ~(cfg : Config.t) ~(prep : prepared) ~methods ~rng
   let g_t = Polybasis.Basis.design_matrix prep.late_basis xs_t in
   List.iteri
     (fun ki k ->
-      let g = prefix_rows g_pool k in
+      let g = Linalg.Mat.copy (Linalg.Mat.view_rows g_pool k) in
       let f = Array.sub f_pool 0 k in
       let problem =
         {
@@ -236,7 +232,7 @@ let solver_timings ?(progress = silent) ?(with_direct = true)
   List.map
     (fun k ->
       progress (Printf.sprintf "solver timing K=%d" k);
-      let g = prefix_rows g_pool k in
+      let g = Linalg.Mat.copy (Linalg.Mat.view_rows g_pool k) in
       let f = Array.sub f_pool 0 k in
       let problem =
         {

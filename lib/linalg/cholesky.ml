@@ -23,34 +23,68 @@ let m_seconds =
   Obs.Metrics.histogram ~help:"Cholesky factorization latency (seconds)"
     "bmf_cholesky_factorize_seconds"
 
-(* Row-oriented (Cholesky-Crout) factorization: for each row i we compute
-   l_ij for j < i, then the diagonal pivot. Inner products walk rows of l,
-   which are contiguous in the row-major layout, so we index the flat data
-   array directly. *)
+(* The two substitution bodies: the only loops in the repository that
+   solve against a Cholesky factor. Each reads the leading n x n lower
+   triangle of [l] through its row stride [cols l], accumulates in a
+   local [float ref] (a register in these call-free loops) and
+   subtracts left to right. [dst] may be the right-hand side itself: an
+   entry is read before it is overwritten. *)
+let check_block name l ~n b dst =
+  if n < 0 || n > Mat.rows l || n > Mat.cols l then
+    invalid_arg (name ^ ": block larger than the factor");
+  if Array.length b < n || Array.length dst < n then
+    invalid_arg (name ^ ": vector too short")
+
+let forward l ~n b ~dst =
+  check_block "Cholesky.forward" l ~n b dst;
+  let ld = (l : Mat.t).data and s = Mat.cols l in
+  for i = 0 to n - 1 do
+    let ibase = i * s in
+    let acc = ref (Array.unsafe_get b i) in
+    for k = 0 to i - 1 do
+      acc := !acc -. (A.unsafe_get ld (ibase + k) *. Array.unsafe_get dst k)
+    done;
+    Array.unsafe_set dst i (!acc /. A.unsafe_get ld (ibase + i))
+  done
+
+let backward l ~n y ~dst =
+  check_block "Cholesky.backward" l ~n y dst;
+  let ld = (l : Mat.t).data and s = Mat.cols l in
+  for i = n - 1 downto 0 do
+    let acc = ref (Array.unsafe_get y i) in
+    for k = i + 1 to n - 1 do
+      acc :=
+        !acc -. (A.unsafe_get ld ((k * s) + i) *. Array.unsafe_get dst k)
+    done;
+    Array.unsafe_set dst i (!acc /. A.unsafe_get ld ((i * s) + i))
+  done
+
+(* Row-oriented (Cholesky-Crout) factorization: row i of l is the
+   forward substitution of row i of a against the i x i block above
+   it, then the diagonal pivot. [row] carries it between the two
+   row-major planes. *)
 let factorize_impl a =
   let n, c = Mat.dims a in
   if n <> c then invalid_arg "Cholesky.factorize: not square";
   let l = Mat.create n n in
   let ld = (l : Mat.t).data and ad = (a : Mat.t).data in
+  let row = Array.make n 0. in
   for i = 0 to n - 1 do
     let ibase = i * n in
     for j = 0 to i - 1 do
-      let jbase = j * n in
-      let acc = ref (A.unsafe_get ad (ibase + j)) in
-      for k = 0 to j - 1 do
-        acc :=
-          !acc
-          -. A.unsafe_get ld (ibase + k) *. A.unsafe_get ld (jbase + k)
-      done;
-      A.unsafe_set ld (ibase + j) (!acc /. A.unsafe_get ld (jbase + j))
+      Array.unsafe_set row j (A.unsafe_get ad (ibase + j))
     done;
+    forward l ~n:i row ~dst:row;
     let acc = ref (A.unsafe_get ad (ibase + i)) in
     for k = 0 to i - 1 do
-      let v = A.unsafe_get ld (ibase + k) in
+      let v = Array.unsafe_get row k in
       acc := !acc -. (v *. v)
     done;
     if !acc <= 0. || not (Float.is_finite !acc) then
       raise (Not_positive_definite i);
+    for j = 0 to i - 1 do
+      A.unsafe_set ld (ibase + j) (Array.unsafe_get row j)
+    done;
     A.unsafe_set ld (ibase + i) (sqrt !acc)
   done;
   { l }
@@ -93,55 +127,30 @@ let factor f = Mat.copy f.l
 let of_factor l =
   let n, c = Mat.dims l in
   if n <> c then invalid_arg "Cholesky.of_factor: not square";
-  let copy = Mat.copy l in
+  let copy = Mat.create n n in
+  Mat.blit_lower ~src:l ~dst:copy n;
   for i = 0 to n - 1 do
-    let d = Mat.get copy i i in
+    let d = A.unsafe_get copy.data ((i * n) + i) in
     if d <= 0. || not (Float.is_finite d) then
-      invalid_arg "Cholesky.of_factor: non-positive diagonal";
-    for j = i + 1 to n - 1 do
-      Mat.set copy i j 0.
-    done
+      invalid_arg "Cholesky.of_factor: non-positive diagonal"
   done;
   { l = copy }
 
-(* In-place solve against preallocated buffers ([y] holds the forward
-   intermediate, [dst] the solution; both length >= n). Allocation-free
-   and bit-identical to {!solve}, which it implements. *)
 let solve_into f b ~y ~dst =
   let n = Mat.rows f.l in
   if Array.length b <> n then
     invalid_arg "Cholesky.solve_into: length mismatch";
   if Array.length y < n || Array.length dst < n then
     invalid_arg "Cholesky.solve_into: scratch too short";
-  let ld = (f.l : Mat.t).data in
-  (* each substitution accumulates in a local [float ref], which stays
-     unboxed in a register in these call-free loops; same subtraction
-     order as a destination-cell accumulator *)
-  (* forward: l y = b *)
-  for i = 0 to n - 1 do
-    let ibase = i * n in
-    let acc = ref (Array.unsafe_get b i) in
-    for k = 0 to i - 1 do
-      acc := !acc -. (A.unsafe_get ld (ibase + k) *. Array.unsafe_get y k)
-    done;
-    Array.unsafe_set y i (!acc /. A.unsafe_get ld (ibase + i))
-  done;
-  (* backward: l^T x = y *)
-  for i = n - 1 downto 0 do
-    let acc = ref (Array.unsafe_get y i) in
-    for k = i + 1 to n - 1 do
-      acc :=
-        !acc -. (A.unsafe_get ld ((k * n) + i) *. Array.unsafe_get dst k)
-    done;
-    Array.unsafe_set dst i (!acc /. A.unsafe_get ld ((i * n) + i))
-  done
+  forward f.l ~n b ~dst:y;
+  backward f.l ~n y ~dst
 
 let solve f b =
   let n = Mat.rows f.l in
   if Array.length b <> n then invalid_arg "Cholesky.solve: length mismatch";
-  let y = Array.make n 0. in
-  let x = Array.make n 0. in
-  solve_into f b ~y ~dst:x;
+  let x = Array.copy b in
+  forward f.l ~n x ~dst:x;
+  backward f.l ~n x ~dst:x;
   x
 
 let solve_mat f b =

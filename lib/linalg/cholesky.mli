@@ -1,7 +1,14 @@
 (** Cholesky factorization of symmetric positive-definite matrices.
 
     This is the "conventional solver" the paper's fast solver is benchmarked
-    against (Sec. IV-C, refs to Golub & Van Loan). *)
+    against (Sec. IV-C, refs to Golub & Van Loan), and the K x K core
+    factor behind the fast solver itself ({!Woodbury}).
+
+    {!forward} and {!backward} are the repository's only substitution
+    loops over a Cholesky factor: {!factorize} (each Crout row),
+    {!solve_into}, the incremental updater's bordering and OMP's
+    support-Gram factor all run through them, so a faster substitution
+    lands in one body. *)
 
 exception Not_positive_definite of int
 (** Raised with the offending pivot index when a non-positive pivot is
@@ -34,12 +41,27 @@ val of_factor : Mat.t -> t
     @raise Invalid_argument if [l] is not square or a diagonal entry is
     not strictly positive and finite. *)
 
+val forward : Mat.t -> n:int -> Vec.t -> dst:Vec.t -> unit
+(** [forward l ~n b ~dst] solves [L y = b] into [dst.(0 .. n-1)], where
+    [L] is the leading [n] x [n] lower triangle of the row-major [l]
+    (any row stride [cols l]; the strict upper part is not read). Each
+    [y_i] is [b_i] minus [L_ik y_k] for [k = 0 .. i-1], left to right,
+    divided by [L_ii]. [dst] may be [b]. Allocation-free.
+    @raise Invalid_argument if [n] exceeds [l] or a vector is shorter
+    than [n]. *)
+
+val backward : Mat.t -> n:int -> Vec.t -> dst:Vec.t -> unit
+(** [backward l ~n y ~dst] solves [L^T x = y] into [dst.(0 .. n-1)] on
+    the same block as {!forward}: each [x_i], from [i = n-1] down, is
+    [y_i] minus [L_ki x_k] for [k = i+1 .. n-1], in that order, divided
+    by [L_ii]. [dst] may be [y]. Allocation-free. *)
+
 val solve : t -> Vec.t -> Vec.t
 (** [solve f b] solves [a * x = b] by forward and back substitution. *)
 
 val solve_into : t -> Vec.t -> y:Vec.t -> dst:Vec.t -> unit
 (** [solve_into f b ~y ~dst] is {!solve} into preallocated buffers:
-    [y] receives the forward-substitution intermediate and [dst] the
+    [y] receives the {!forward} intermediate and [dst] the {!backward}
     solution (both of length at least [n]; only the first [n] entries
     are written). Allocation-free and bit-identical to {!solve}. *)
 

@@ -135,13 +135,20 @@ let col a j =
   if j < 0 || j >= a.cols then invalid_arg "Mat.col: index out of bounds";
   Array.init a.rows (fun i -> uget a.data ((i * a.cols) + j))
 
+let set_row_prefix a i v n =
+  if i < 0 || i >= a.rows then
+    invalid_arg "Mat.set_row_prefix: index out of bounds";
+  if n < 0 || n > a.cols || n > Array.length v then
+    invalid_arg "Mat.set_row_prefix: length out of range";
+  let base = i * a.cols in
+  for j = 0 to n - 1 do
+    uset a.data (base + j) (Array.unsafe_get v j)
+  done
+
 let set_row a i v =
   if i < 0 || i >= a.rows then invalid_arg "Mat.set_row: index out of bounds";
   if Array.length v <> a.cols then invalid_arg "Mat.set_row: length mismatch";
-  let base = i * a.cols in
-  for j = 0 to a.cols - 1 do
-    uset a.data (base + j) (Array.unsafe_get v j)
-  done
+  set_row_prefix a i v a.cols
 
 let set_col a j v =
   if j < 0 || j >= a.cols then invalid_arg "Mat.set_col: index out of bounds";
@@ -159,6 +166,32 @@ let blit_rows ~src ~dst ~dst_row =
   let off = dst_row * dst.cols in
   for i = 0 to n - 1 do
     uset dst.data (off + i) (uget src.data i)
+  done
+
+(* Row [idx.(r)] of [a] becomes row [r] of a fresh matrix: the one row
+   gather behind every cross-validation fold split. *)
+let gather_rows a idx =
+  let c = a.cols in
+  let b = create (Array.length idx) c in
+  Array.iteri
+    (fun r i ->
+      if i < 0 || i >= a.rows then
+        invalid_arg "Mat.gather_rows: index out of bounds";
+      let src = i * c and dst = r * c in
+      for j = 0 to c - 1 do
+        uset b.data (dst + j) (uget a.data (src + j))
+      done)
+    idx;
+  b
+
+let blit_lower ~src ~dst n =
+  if n < 0 || n > src.rows || n > src.cols || n > dst.rows || n > dst.cols
+  then invalid_arg "Mat.blit_lower: block out of range";
+  for i = 0 to n - 1 do
+    let sbase = i * src.cols and dbase = i * dst.cols in
+    for j = 0 to i do
+      uset dst.data (dbase + j) (uget src.data (sbase + j))
+    done
   done
 
 let transpose a =

@@ -85,11 +85,24 @@ val col_nrm2 : t -> int -> float
 
 val set_row : t -> int -> Vec.t -> unit
 
+val set_row_prefix : t -> int -> Vec.t -> int -> unit
+(** [set_row_prefix a i v n] writes [v.(0 .. n-1)] over the first [n]
+    entries of row [i]; allocation-free. *)
+
 val set_col : t -> int -> Vec.t -> unit
 
 val blit_rows : src:t -> dst:t -> dst_row:int -> unit
 (** Copies all rows of [src] into [dst] starting at row [dst_row];
     both must have the same width. Allocation-free. *)
+
+val gather_rows : t -> int array -> t
+(** [gather_rows a idx] is the fresh [length idx] x [cols a] matrix
+    whose row [r] is row [idx.(r)] of [a] (rows may repeat). *)
+
+val blit_lower : src:t -> dst:t -> int -> unit
+(** [blit_lower ~src ~dst n] copies the leading [n] x [n] lower
+    triangle (diagonal included) of [src] into [dst]; the two may have
+    different row strides. Allocation-free. *)
 
 val transpose : t -> t
 

@@ -116,10 +116,6 @@ let mul_into x y dst =
     Array.unsafe_set dst i (Array.unsafe_get x i *. Array.unsafe_get y i)
   done
 
-let copy_into src dst =
-  check_same_dim "copy_into" src dst;
-  Array.blit src 0 dst 0 (Array.length src)
-
 let axpy a x y =
   check_same_dim "axpy" x y;
   for i = 0 to Array.length x - 1 do
@@ -198,6 +194,11 @@ let approx_equal ?(tol = 1e-9) x y =
 let concat = Array.concat
 
 let slice v pos len = Array.sub v pos len
+
+let gather v idx =
+  let out = Array.make (Array.length idx) 0. in
+  Array.iteri (fun r i -> Array.unsafe_set out r v.(i)) idx;
+  out
 
 let pp fmt v =
   let n = Array.length v in

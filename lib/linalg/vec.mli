@@ -66,9 +66,6 @@ val sub_into : t -> t -> t -> unit
 val mul_into : t -> t -> t -> unit
 (** In-place twin of {!mul} (Hadamard product into [dst]). *)
 
-val copy_into : t -> t -> unit
-(** [copy_into src dst] blits [src] over equal-length [dst]. *)
-
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] performs [y <- a*x + y] in place. *)
 
@@ -119,6 +116,10 @@ val concat : t list -> t
 
 val slice : t -> int -> int -> t
 (** [slice v pos len] copies [len] entries starting at [pos]. *)
+
+val gather : t -> int array -> t
+(** [gather v idx] is [[| v.(idx.(0)); ...; v.(idx.(n-1)) |]], the
+    vector twin of {!Mat.gather_rows}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints like [[1.5; 2; ...]] (truncates long vectors). *)

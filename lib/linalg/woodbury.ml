@@ -1,62 +1,11 @@
-type t = {
-  d_inv : Vec.t; (* m *)
-  g : Mat.t; (* k x m *)
-  small : Cholesky.t; (* k x k factor of s^-1 I + G D^-1 G^T *)
-}
+(* alpha = mu + W^-1 G^T v: the dual form's map from the K-dimensional
+   solve back to coefficient space. *)
+let dual_coeffs ~g ~w_inv ~means v =
+  let gtv = Mat.gemv_t g v in
+  Array.init (Array.length means) (fun i ->
+      means.(i) +. (w_inv.(i) *. gtv.(i)))
 
-let m_cond =
-  Obs.Metrics.gauge
-    ~help:"Condition estimate of the last factorized Woodbury core"
-    "bmf_woodbury_cond"
-
-let m_solves =
-  Obs.Metrics.counter ~help:"Woodbury solves performed"
-    "bmf_woodbury_solves_total"
-
-let factorize ~d ~g ~scale =
-  let k, m = Mat.dims g in
-  if Array.length d <> m then
-    invalid_arg "Woodbury.factorize: diagonal length must equal cols g";
-  if scale <= 0. || not (Float.is_finite scale) then
-    invalid_arg "Woodbury.factorize: scale must be positive and finite";
-  Array.iteri
-    (fun i di ->
-      if di <= 0. || not (Float.is_finite di) then
-        invalid_arg
-          (Printf.sprintf "Woodbury.factorize: d.(%d) must be positive" i))
-    d;
-  let d_inv = Array.map (fun x -> 1. /. x) d in
-  (* s^-1 I + G D^-1 G^T, a k x k SPD matrix. *)
-  let core = Mat.weighted_outer_gram g d_inv in
-  let shifted = Mat.add_diag core (Array.make k (1. /. scale)) in
-  let small = Cholesky.factorize shifted in
-  if Obs.live () then
-    Obs.Metrics.set m_cond (Cholesky.cond_estimate small);
-  { d_inv; g; small }
-
-let dim f = Mat.cols f.g
-
-let rank f = Mat.rows f.g
-
-let cond_estimate f = Cholesky.cond_estimate f.small
-
-let solve f b =
-  let m = Mat.cols f.g in
-  if Array.length b <> m then invalid_arg "Woodbury.solve: length mismatch";
-  Obs.Metrics.inc m_solves;
-  (* u = D^-1 b *)
-  let u = Vec.mul f.d_inv b in
-  (* w = (s^-1 I + G D^-1 G^T)^-1 (G u) *)
-  let gu = Mat.gemv f.g u in
-  let w = Cholesky.solve f.small gu in
-  (* x = u - D^-1 G^T w *)
-  let gtw = Mat.gemv_t f.g w in
-  let x = Array.make m 0. in
-  for i = 0 to m - 1 do
-    x.(i) <- u.(i) -. (f.d_inv.(i) *. gtw.(i))
-  done;
-  x
-
-let solve_many f bs = List.map (solve f) bs
-
-let solve_system ~d ~g ~scale b = solve (factorize ~d ~g ~scale) b
+let solve ~g ~w_inv ~means ~core ~r ~hyper =
+  let k = Mat.rows g in
+  let fact = Cholesky.factorize (Mat.add_diag core (Array.make k hyper)) in
+  (dual_coeffs ~g ~w_inv ~means (Cholesky.solve fact r), fact)

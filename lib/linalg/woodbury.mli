@@ -1,36 +1,32 @@
-(** Sherman-Morrison-Woodbury solves for diagonal-plus-low-rank systems.
+(** The dual form of the Sherman-Morrison-Woodbury solve: the paper's
+    fast solver (Sec. IV-C, eq. 53-58).
 
-    Solves [(diag d + scale * g^T g) x = b] where [g] is [k] x [m] with
-    [k << m], using only a [k] x [k] Cholesky factorization:
+    For prior means [mu], prior weights [w] and a shift [t], the
+    solution of the M x M system
+    [(G^T G + t W) (alpha - mu) = G^T r] is
 
-    [(D + s G^T G)^-1 = D^-1 - D^-1 G^T (s^-1 I + G D^-1 G^T)^-1 G D^-1].
+    [alpha = mu + W^-1 G^T (t I + G W^-1 G^T)^-1 r]
 
-    This is the paper's "fast solver" (Sec. IV-C, eq. 53-58): exact, no
-    approximation, with cost O(k^2 m + k^3) instead of O(m^3). *)
+    so only the K x K core [C = t I + B], [B = G W^-1 G^T], is ever
+    factored: exact, at O(K^2 M + K^3) instead of O(M^3). The MAP fit,
+    the CV sweep over [t], the incremental updater and ridge regression
+    ([W = I], [mu = 0]) all solve through this one module. *)
 
-type t
-(** A reusable factorization for a fixed [(d, g, scale)] triple. *)
+val dual_coeffs :
+  g:Mat.t -> w_inv:Vec.t -> means:Vec.t -> Vec.t -> Vec.t
+(** [dual_coeffs ~g ~w_inv ~means v] is [mu + W^-1 G^T v], mapping the
+    solution [v] of the K x K core system back to coefficient space. *)
 
-val factorize : d:Vec.t -> g:Mat.t -> scale:float -> t
-(** Prepares solves of [(diag d + scale * g^T g) x = b].
-    Requirements: [d] has length [cols g], every [d.(i) > 0], and
-    [scale > 0]; violations raise [Invalid_argument]. *)
-
-val solve : t -> Vec.t -> Vec.t
-(** [solve f b] returns the exact solution [x] (length [cols g]). *)
-
-val solve_many : t -> Vec.t list -> Vec.t list
-(** Shares the small factorization across several right-hand sides. *)
-
-val dim : t -> int
-(** Size [m] of the full system. *)
-
-val rank : t -> int
-(** Rank [k] of the low-rank update (number of rows of [g]). *)
-
-val cond_estimate : t -> float
-(** {!Cholesky.cond_estimate} of the small core
-    [s^-1 I + G D^-1 G^T]. *)
-
-val solve_system : d:Vec.t -> g:Mat.t -> scale:float -> Vec.t -> Vec.t
-(** One-shot convenience: factorize then solve. *)
+val solve :
+  g:Mat.t ->
+  w_inv:Vec.t ->
+  means:Vec.t ->
+  core:Mat.t ->
+  r:Vec.t ->
+  hyper:float ->
+  Vec.t * Cholesky.t
+(** [solve ~g ~w_inv ~means ~core ~r ~hyper] factors
+    [C = hyper I + core] (with [core = G W^-1 G^T]) and returns
+    [dual_coeffs (C^-1 r)] with the factor of [C]. Callers sweeping
+    [hyper] share one [core]. Unchecked.
+    @raise Cholesky.Not_positive_definite if [C] is not. *)

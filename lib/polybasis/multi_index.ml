@@ -11,13 +11,12 @@ let pure i d =
   if d < 0 then invalid_arg "Multi_index.pure: negative degree";
   if d = 0 then constant else [| (i, d) |]
 
-(* One array and no hashing: a sort by variable (skipped when the pairs
-   already ascend, as stored terms do), then a pass that sums the
-   degrees of each run of one variable in place and drops zero sums. A
-   new pair is allocated only for a run that sums more than its
-   first degree. *)
-let of_pairs pairs =
-  let a = Array.of_list pairs in
+(* In the caller's array and with no hashing: a sort by variable
+   (skipped when the pairs already ascend, as stored terms do), then a
+   pass that sums the degrees of each run of one variable in place and
+   drops zero sums. A new pair is allocated only for a run that sums
+   more than its first degree. *)
+let of_pairs a =
   let n = Array.length a in
   let ascending = ref true in
   for i = 0 to n - 1 do
@@ -99,7 +98,7 @@ let all_up_to_degree ~r ~d =
   (* enumerate exponent vectors recursively, sparsely *)
   let results = ref [] in
   let rec go var budget acc =
-    if var = r then results := of_pairs acc :: !results
+    if var = r then results := of_pairs (Array.of_list acc) :: !results
     else
       for e = 0 to budget do
         go (var + 1) (budget - e) (if e > 0 then (var, e) :: acc else acc)

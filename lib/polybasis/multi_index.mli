@@ -16,9 +16,11 @@ val linear : int -> t
 val pure : int -> int -> t
 (** [pure i d] is the degree-[d] polynomial in variable [i] alone. *)
 
-val of_pairs : (int * int) list -> t
+val of_pairs : (int * int) array -> t
 (** Normalizes: merges duplicate variables (degrees add), drops zero
-    degrees, sorts by variable.
+    degrees, sorts by variable. The work is done in the given array,
+    which may be returned as the term: the caller hands it over and
+    must not use it afterwards.
     @raise Invalid_argument on negative variables or degrees. *)
 
 val total_degree : t -> int

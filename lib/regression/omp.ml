@@ -11,13 +11,14 @@ type result = {
 }
 
 (* Greedy selection state: [cols] stores the chosen columns of g
-   contiguously (k x smax), [r_fact] is the upper-triangular Cholesky
-   factor of the support Gram matrix, grown one row per step. *)
+   contiguously (k x smax), [l] is the lower-triangular Cholesky factor
+   of the support Gram matrix, grown by one bordering row per step and
+   solved through [Linalg.Cholesky.forward]/[backward]. *)
 type state = {
   k : int;
   smax : int;
   cols : float array; (* column-major: cols.(j * k + i) *)
-  r_fact : float array; (* smax x smax upper triangular, row-major *)
+  l : Linalg.Mat.t; (* smax x smax, lower triangle live in the s x s block *)
   gtf : float array; (* g_support^T f, length smax *)
   support : int array;
   mutable s : int;
@@ -28,7 +29,7 @@ let make_state k smax =
     k;
     smax;
     cols = Array.make (k * smax) 0.;
-    r_fact = Array.make (smax * smax) 0.;
+    l = Linalg.Mat.create smax smax;
     gtf = Array.make smax 0.;
     support = Array.make smax (-1);
     s = 0;
@@ -37,9 +38,9 @@ let make_state k smax =
 (* Append column [col] (with g^T f entry [gf]) to the support; returns
    false when the column is numerically dependent on the support. *)
 let push st col gf idx =
-  let s = st.s and k = st.k and smax = st.smax in
-  assert (s < smax);
-  (* w = cols^T col, then solve R^T v = w *)
+  let s = st.s and k = st.k in
+  assert (s < st.smax);
+  (* w = cols^T col, then solve L v = w in place *)
   let v = Array.make s 0. in
   for j = 0 to s - 1 do
     let acc = ref 0. in
@@ -49,47 +50,26 @@ let push st col gf idx =
     done;
     v.(j) <- !acc
   done;
-  for j = 0 to s - 1 do
-    let acc = ref v.(j) in
-    for t = 0 to j - 1 do
-      acc := !acc -. (st.r_fact.((t * smax) + j) *. v.(t))
-    done;
-    v.(j) <- !acc /. st.r_fact.((j * smax) + j)
-  done;
+  Linalg.Cholesky.forward st.l ~n:s v ~dst:v;
   let col_norm2 = Linalg.Vec.dot col col in
   let d2 = col_norm2 -. Linalg.Vec.dot v v in
   if d2 <= 1e-12 *. Float.max 1. col_norm2 then false
   else begin
     Array.blit col 0 st.cols (s * k) k;
-    for t = 0 to s - 1 do
-      st.r_fact.((t * smax) + s) <- v.(t)
-    done;
-    st.r_fact.((s * smax) + s) <- sqrt d2;
+    Linalg.Mat.set_row_prefix st.l s v s;
+    Linalg.Mat.set st.l s s (sqrt d2);
     st.gtf.(s) <- gf;
     st.support.(s) <- idx;
     st.s <- s + 1;
     true
   end
 
-(* Solve R^T R alpha = g_support^T f for the current support. *)
+(* Solve L L^T alpha = g_support^T f for the current support. *)
 let solve_support st =
-  let s = st.s and smax = st.smax in
-  let y = Array.make s 0. in
-  for i = 0 to s - 1 do
-    let acc = ref st.gtf.(i) in
-    for t = 0 to i - 1 do
-      acc := !acc -. (st.r_fact.((t * smax) + i) *. y.(t))
-    done;
-    y.(i) <- !acc /. st.r_fact.((i * smax) + i)
-  done;
-  let alpha = Array.make s 0. in
-  for i = s - 1 downto 0 do
-    let acc = ref y.(i) in
-    for t = i + 1 to s - 1 do
-      acc := !acc -. (st.r_fact.((i * smax) + t) *. alpha.(t))
-    done;
-    alpha.(i) <- !acc /. st.r_fact.((i * smax) + i)
-  done;
+  let s = st.s in
+  let alpha = Array.sub st.gtf 0 s in
+  Linalg.Cholesky.forward st.l ~n:s alpha ~dst:alpha;
+  Linalg.Cholesky.backward st.l ~n:s alpha ~dst:alpha;
   alpha
 
 (* Residual f - g_support alpha. *)
@@ -116,15 +96,17 @@ let run ~g ~f ~max_terms ~res_tol ~observe =
   let max_terms = Stdlib.min max_terms (Stdlib.min k m) in
   let st = make_state k max_terms in
   let fnorm = Float.max 1e-300 (Linalg.Vec.nrm2 f) in
-  (* cached column norms for correlation normalization *)
+  (* cached column norms for correlation normalization: each column's
+     squares summed from row 0 down, one row-major pass *)
   let col_norms =
-    Array.init m (fun j ->
-        let acc = ref 0. in
-        for i = 0 to k - 1 do
-          let v = Linalg.Mat.get g i j in
-          acc := !acc +. (v *. v)
-        done;
-        Float.max 1e-300 (sqrt !acc))
+    let sq = Array.make m 0. and row = Array.make m 0. in
+    for i = 0 to k - 1 do
+      Linalg.Mat.row_into g i row;
+      for j = 0 to m - 1 do
+        sq.(j) <- sq.(j) +. (row.(j) *. row.(j))
+      done
+    done;
+    Array.map (fun s -> Float.max 1e-300 (sqrt s)) sq
   in
   let in_support = Array.make m false in
   let r = ref (Array.copy f) in
@@ -182,12 +164,6 @@ let fit_fixed ~g ~f ~max_terms ~res_tol =
     iterations = st.s;
   }
 
-let submatrix_rows g idx =
-  let _, m = Linalg.Mat.dims g in
-  Linalg.Mat.init (Array.length idx) m (fun i j -> Linalg.Mat.get g idx.(i) j)
-
-let subvector f idx = Array.map (fun i -> f.(i)) idx
-
 (* Cross-validated choice of the number of terms: each fold runs the
    greedy path once, recording held-out error after every step. *)
 let fit_cv ?rng ~g ~f ~folds ~max_terms () =
@@ -200,19 +176,22 @@ let fit_cv ?rng ~g ~f ~folds ~max_terms () =
   let err_count = Array.make (limit + 1) 0 in
   List.iter
     (fun { Stats.Crossval.train; test } ->
-      let gt = submatrix_rows g train and ft = subvector f train in
-      let gv = submatrix_rows g test and fv = subvector f test in
+      let gt = Linalg.Mat.gather_rows g train
+      and ft = Linalg.Vec.gather f train in
+      (* held-out columns are rows of the transpose *)
+      let gvt = Linalg.Mat.transpose (Linalg.Mat.gather_rows g test)
+      and fv = Linalg.Vec.gather f test in
       let fvnorm = Float.max 1e-300 (Linalg.Vec.nrm2 fv) in
+      let col = Array.make (Array.length test) 0. in
       let observe st alpha =
         let s = st.s in
         if s <= limit then begin
-          (* held-out predictions from the sparse support *)
+          (* held-out predictions from the sparse support, summed in
+             selection order *)
           let pred = Array.make (Array.length test) 0. in
           for j = 0 to s - 1 do
-            let idx = st.support.(j) and a = alpha.(j) in
-            for i = 0 to Array.length test - 1 do
-              pred.(i) <- pred.(i) +. (a *. Linalg.Mat.get gv i idx)
-            done
+            Linalg.Mat.row_into gvt st.support.(j) col;
+            Linalg.Vec.axpy alpha.(j) col pred
           done;
           err_sum.(s) <- err_sum.(s) +. (Linalg.Vec.dist2 pred fv /. fvnorm);
           err_count.(s) <- err_count.(s) + 1

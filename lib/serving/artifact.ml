@@ -58,17 +58,12 @@ let of_fit ~meta ?(rev = 0) ~basis ~prior ~hyper ?(cv_error = nan) ~g ~f () =
     Bmf.Map_solver.solve_fast ~g ~f ~weights:prior.Bmf.Prior.weights
       ~means:prior.Bmf.Prior.means ~hyper
   in
-  let resid = Linalg.Vec.sub f (Linalg.Mat.gemv g coeffs) in
-  let sigma0_sq =
-    Float.max 1e-300
-      (Linalg.Vec.dot resid resid /. float_of_int (Stdlib.max 1 k))
-  in
   {
     meta;
     rev;
     hyper;
     cv_error;
-    sigma0_sq;
+    sigma0_sq = Bmf.Map_solver.noise_estimate ~g ~f coeffs;
     basis_dim = Polybasis.Basis.dim basis;
     terms = Polybasis.Basis.terms basis;
     prior;
@@ -184,11 +179,13 @@ let read_payload rd =
   let terms =
     Array.init n_terms (fun _ ->
         let n_pairs = Codec.get_count rd ~per:16 "implausible term length" in
-        Polybasis.Multi_index.of_pairs
-          (List.init n_pairs (fun _ ->
-               let v = Codec.get_int rd in
-               let d = Codec.get_int rd in
-               (v, d))))
+        let pairs = Array.make n_pairs (0, 0) in
+        for p = 0 to n_pairs - 1 do
+          let v = Codec.get_int rd in
+          let d = Codec.get_int rd in
+          pairs.(p) <- (v, d)
+        done;
+        Polybasis.Multi_index.of_pairs pairs)
   in
   let kind =
     match Codec.get_int rd with

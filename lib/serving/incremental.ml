@@ -15,12 +15,12 @@
    Storage lives in capacity-doubling Bigarray-backed matrices: [g]
    holds the basis rows (cap x M) and [l] the growing Cholesky factor's
    lower triangle (cap x cap); only the first [k] rows are live. The
-   bordering arithmetic reads them through the same row-major order the
-   ragged float-array representation used, so update trajectories are
-   bit-identical to it. Coefficients come from the fit's own code:
-   [Linalg.Cholesky.solve] on the live k x k factor, then
-   [Bmf.Map_solver.dual_coeffs]; new basis rows from
-   [Polybasis.Basis.design_matrix]. *)
+   bordering column c is [Linalg.Mat.gemv_into] over the live rows of
+   [g], solved in place by [Linalg.Cholesky.forward] on the live k x k
+   block of [l], so a row costs no allocation that grows with K.
+   Coefficients come from the fit's own code: [Linalg.Cholesky.solve]
+   on the live factor, then [Linalg.Woodbury.dual_coeffs]; new basis
+   rows from [Polybasis.Basis.design_matrix]. *)
 
 type t = {
   meta : Artifact.meta;
@@ -37,6 +37,8 @@ type t = {
   mutable f : float array; (* observed responses *)
   mutable resid : float array; (* f_i - g_i . mu *)
   h_scratch : float array; (* length M: W^-1 row, reused per add_row *)
+  mutable border : float array;
+      (* length cap: the bordering row of [l], solved in place *)
 }
 
 let num_samples t = t.k
@@ -60,14 +62,6 @@ let m_pivot_min =
     ~help:"Smallest new Cholesky pivot across the last incremental batch"
     "bmf_incremental_pivot_min"
 
-(* Copy the leading k x k lower triangle of [src] into [dst]. *)
-let blit_lower ~src ~dst k =
-  for i = 0 to k - 1 do
-    for j = 0 to i do
-      Linalg.Mat.set dst i j (Linalg.Mat.get src i j)
-    done
-  done
-
 let of_artifact (a : Artifact.t) =
   let k = Artifact.num_samples a in
   let m = Linalg.Mat.cols a.Artifact.g in
@@ -76,7 +70,7 @@ let of_artifact (a : Artifact.t) =
   let g = Linalg.Mat.create cap m in
   Linalg.Mat.blit_rows ~src:a.Artifact.g ~dst:g ~dst_row:0;
   let l = Linalg.Mat.create cap cap in
-  blit_lower ~src:a.Artifact.chol ~dst:l k;
+  Linalg.Mat.blit_lower ~src:a.Artifact.chol ~dst:l k;
   let resid =
     Array.init k (fun i ->
         a.Artifact.f.(i) -. Linalg.Mat.row_dot a.Artifact.g i means)
@@ -100,6 +94,7 @@ let of_artifact (a : Artifact.t) =
     f;
     resid = resid_buf;
     h_scratch = Array.make m 0.;
+    border = Array.make cap 0.;
   }
 
 (* Double the row capacity, copying live rows (and for [l], the live
@@ -110,7 +105,7 @@ let grow t =
   let g = Linalg.Mat.create cap m in
   Linalg.Mat.blit_rows ~src:(Linalg.Mat.view_rows t.g t.k) ~dst:g ~dst_row:0;
   let l = Linalg.Mat.create cap cap in
-  blit_lower ~src:t.l ~dst:l t.k;
+  Linalg.Mat.blit_lower ~src:t.l ~dst:l t.k;
   let f = Array.make cap 0. in
   Array.blit t.f 0 f 0 t.k;
   let resid = Array.make cap 0. in
@@ -119,7 +114,8 @@ let grow t =
   t.g <- g;
   t.l <- l;
   t.f <- f;
-  t.resid <- resid
+  t.resid <- resid;
+  t.border <- Array.make cap 0.
 
 let add_row t ~row ~value =
   let m = num_terms t in
@@ -131,24 +127,20 @@ let add_row t ~row ~value =
   let h = t.h_scratch in
   Linalg.Vec.mul_into t.w_inv row h;
   let diag = Linalg.Vec.dot row h +. t.hyper in
-  (* forward solve L l_new = c straight into row k of the factor *)
-  let lmat = t.l in
-  for i = 0 to k - 1 do
-    let acc = ref (Linalg.Mat.row_dot t.g i h) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (Linalg.Mat.get lmat i j *. Linalg.Mat.get lmat k j)
-    done;
-    Linalg.Mat.set lmat k i (!acc /. Linalg.Mat.get lmat i i)
-  done;
+  let c = t.border in
+  Linalg.Mat.gemv_into (Linalg.Mat.view_rows t.g k) h c;
+  (* L l_new = c, in place; then the pivot d - l_new . l_new *)
+  Linalg.Cholesky.forward t.l ~n:k c ~dst:c;
   let d_sq = ref diag in
   for i = 0 to k - 1 do
-    let li = Linalg.Mat.get lmat k i in
+    let li = Array.unsafe_get c i in
     d_sq := !d_sq -. (li *. li)
   done;
   let d_sq = !d_sq in
   if d_sq <= 0. || not (Float.is_finite d_sq) then
     failwith "Incremental.add_row: update lost positive definiteness";
-  Linalg.Mat.set lmat k k (sqrt d_sq);
+  c.(k) <- sqrt d_sq;
+  Linalg.Mat.set_row_prefix t.l k c (k + 1);
   Linalg.Mat.set_row t.g k row;
   t.f.(k) <- value;
   t.resid.(k) <- value -. Linalg.Vec.dot row t.prior.Bmf.Prior.means;
@@ -173,20 +165,18 @@ let add_batch t ~xs ~f =
     Obs.Trace.set_attr sp "samples_before" (Obs.Trace.Int t.k);
     let t0 = Obs.Clock.now_s () in
     let gq = Polybasis.Basis.design_matrix t.basis xs in
-    let k0 = t.k in
+    (* smallest bordering pivot accepted in this batch: the tightest
+       margin to losing positive definiteness. [add_row] leaves the
+       pivot it accepted after the solved column in [border]. *)
+    let mn = ref infinity in
     for i = 0 to n - 1 do
-      add_row t ~row:(Linalg.Mat.row gq i) ~value:f.(i)
+      add_row t ~row:(Linalg.Mat.row gq i) ~value:f.(i);
+      let d = t.border.(t.k - 1) in
+      if d < !mn then mn := d
     done;
     Obs.Metrics.observe m_seconds (Obs.Clock.now_s () -. t0);
     Obs.Metrics.inc ~by:(float_of_int n) m_samples;
     Obs.Metrics.inc m_batches;
-    (* smallest bordering pivot accepted in this batch: the tightest
-       margin to losing positive definiteness *)
-    let mn = ref infinity in
-    for i = k0 to t.k - 1 do
-      let d = Linalg.Mat.get t.l i i in
-      if d < !mn then mn := d
-    done;
     if Float.is_finite !mn then begin
       Obs.Metrics.set m_pivot_min !mn;
       Obs.Trace.set_attr sp "pivot_min" (Obs.Trace.Float !mn)
@@ -196,7 +186,7 @@ let add_batch t ~xs ~f =
    storage. *)
 let factor t =
   let chol = Linalg.Mat.create t.k t.k in
-  blit_lower ~src:t.l ~dst:chol t.k;
+  Linalg.Mat.blit_lower ~src:t.l ~dst:chol t.k;
   chol
 
 (* Solve C v = resid through the factor, then map back to the
@@ -206,7 +196,7 @@ let coeffs_of t chol =
     Linalg.Cholesky.solve (Linalg.Cholesky.of_factor chol)
       (Array.sub t.resid 0 t.k)
   in
-  Bmf.Map_solver.dual_coeffs
+  Linalg.Woodbury.dual_coeffs
     ~g:(Linalg.Mat.view_rows t.g t.k)
     ~w_inv:t.w_inv ~means:t.prior.Bmf.Prior.means v
 
@@ -218,17 +208,12 @@ let to_artifact t =
   let f = Array.sub t.f 0 k in
   let chol = factor t in
   let coeffs = coeffs_of t chol in
-  let resid = Linalg.Vec.sub f (Linalg.Mat.gemv g coeffs) in
-  let sigma0_sq =
-    Float.max 1e-300
-      (Linalg.Vec.dot resid resid /. float_of_int (Stdlib.max 1 k))
-  in
   {
     Artifact.meta = t.meta;
     rev = t.rev + 1;
     hyper = t.hyper;
     cv_error = t.cv_error;
-    sigma0_sq;
+    sigma0_sq = Bmf.Map_solver.noise_estimate ~g ~f coeffs;
     basis_dim = Polybasis.Basis.dim t.basis;
     terms = Polybasis.Basis.terms t.basis;
     prior = t.prior;

@@ -272,8 +272,6 @@ let predict_with_std t xs =
 
 let point x = Linalg.Mat.of_flat ~rows:1 ~cols:(Array.length x) x
 
-let predict_point t x = (predict t (point x)).(0)
-
 let predict_point_with_std t x =
   let means, stds = predict_with_std t (point x) in
   (means.(0), stds.(0))

@@ -34,11 +34,8 @@ val predict_with_std : t -> Linalg.Mat.t -> Linalg.Vec.t * Linalg.Vec.t
     per lane; the output is bit-identical at any lane count.
     @raise Invalid_argument on a batch-width mismatch, as {!predict}. *)
 
-val predict_point : t -> Linalg.Vec.t -> float
-(** Single-point convenience: a one-row {!predict}. *)
-
 val predict_point_with_std : t -> Linalg.Vec.t -> float * float
-(** A one-row {!predict_with_std}. *)
+(** Single-point convenience: a one-row {!predict_with_std}. *)
 
 (** Preallocated serving arena for the allocation-free predict path: a
     capacity x M design arena, the basis evaluation scratch, and the

@@ -528,7 +528,7 @@ let test_mapping_constant_and_linear_terms () =
 let test_mapping_product_term_group () =
   (* T_m for a product term is the product of finger counts *)
   let pm = Bmf.Prior_mapping.create [| 2; 3 |] in
-  let t = Polybasis.Multi_index.of_pairs [ (0, 1); (1, 1) ] in
+  let t = Polybasis.Multi_index.of_pairs [| (0, 1); (1, 1) |] in
   Alcotest.(check int) "product group" 6
     (List.length (Bmf.Prior_mapping.map_term pm t))
 

@@ -245,7 +245,7 @@ let gen_artifact =
   let* basis_dim = int_range 1 4 in
   let gen_term =
     map Polybasis.Multi_index.of_pairs
-      (list_size (int_range 0 3) (pair (int_range 0 (basis_dim - 1)) (int_range 0 3)))
+      (array_size (int_range 0 3) (pair (int_range 0 (basis_dim - 1)) (int_range 0 3)))
   in
   let* terms = array_repeat m gen_term in
   let* kind = oneofl [ Bmf.Prior.Zero_mean; Bmf.Prior.Nonzero_mean ] in

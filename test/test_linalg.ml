@@ -281,41 +281,51 @@ let test_qr_underdetermined_rejected () =
 (* ------------------------------------------------------------------ *)
 (* Woodbury *)
 
+(* The dual solve against a dense solve of the M x M system it stands
+   for, (G^T G + t W) (alpha - mu) = G^T r. *)
+let dense_map ~g ~w ~means ~hyper r =
+  let m = Mat.cols g in
+  let full = Mat.add_diag (Mat.gram g) (Array.map (fun wi -> hyper *. wi) w) in
+  let delta = Cholesky.solve_system full (Mat.gemv_t g r) in
+  Array.init m (fun i -> means.(i) +. delta.(i))
+
 let test_woodbury_matches_direct () =
   let k = 4 and m = 30 in
   let g = random_mat k m in
-  let d = Array.init m (fun i -> 0.5 +. (0.1 *. float_of_int i)) in
-  let scale = 0.8 in
-  let b = random_vec m in
-  let full = Mat.add_diag (Mat.scale scale (Mat.gram g)) d in
-  let expected = Cholesky.solve_system full b in
-  let got = Woodbury.solve_system ~d ~g ~scale b in
-  check_bool "exact" true (Vec.approx_equal ~tol:1e-8 got expected)
+  let w = Array.init m (fun i -> 0.5 +. (0.1 *. float_of_int i)) in
+  let w_inv = Array.map (fun wi -> 1. /. wi) w in
+  let means = random_vec m in
+  let r = Array.init k (fun i -> 1. -. (0.5 *. float_of_int i)) in
+  let hyper = 0.8 in
+  let core = Mat.weighted_outer_gram g w_inv in
+  let got, fact = Woodbury.solve ~g ~w_inv ~means ~core ~r ~hyper in
+  check_bool "exact" true
+    (Vec.approx_equal ~tol:1e-8 got (dense_map ~g ~w ~means ~hyper r));
+  (* the returned factor is the core's: L L^T = hyper I + core *)
+  let l = Cholesky.factor fact in
+  check_bool "factor of the core" true
+    (Mat.approx_equal ~tol:1e-10
+       (Mat.gemm l (Mat.transpose l))
+       (Mat.add_diag core (Array.make k hyper)))
 
+(* One core shared by several hypers and right-hand sides, as the CV
+   sweep and the ridge fit use it. *)
 let test_woodbury_many_rhs () =
   let k = 3 and m = 12 in
   let g = random_mat k m in
-  let d = Array.make m 1.5 in
-  let f = Woodbury.factorize ~d ~g ~scale:1. in
-  check_int "dim" m (Woodbury.dim f);
-  check_int "rank" k (Woodbury.rank f);
-  let bs = [ random_vec m; random_vec m ] in
-  let xs = Woodbury.solve_many f bs in
-  let full = Mat.add_diag (Mat.gram g) d in
-  List.iter2
-    (fun x b ->
-      check_bool "rhs" true
-        (Vec.approx_equal ~tol:1e-8 (Mat.gemv full x) b))
-    xs bs
-
-let test_woodbury_rejects_bad_inputs () =
-  let g = random_mat 2 5 in
-  Alcotest.check_raises "nonpositive d"
-    (Invalid_argument "Woodbury.factorize: d.(1) must be positive") (fun () ->
-      ignore (Woodbury.factorize ~d:[| 1.; 0.; 1.; 1.; 1. |] ~g ~scale:1.));
-  Alcotest.check_raises "nonpositive scale"
-    (Invalid_argument "Woodbury.factorize: scale must be positive and finite")
-    (fun () -> ignore (Woodbury.factorize ~d:(Array.make 5 1.) ~g ~scale:0.))
+  let w = Array.make m 1. and means = Array.make m 0. in
+  let core = Mat.outer_gram g in
+  let truths = [ random_vec m; random_vec m ] in
+  List.iter
+    (fun hyper ->
+      List.iter
+        (fun truth ->
+          let r = Mat.gemv g truth in
+          let got, _ = Woodbury.solve ~g ~w_inv:w ~means ~core ~r ~hyper in
+          check_bool "rhs" true
+            (Vec.approx_equal ~tol:1e-8 got (dense_map ~g ~w ~means ~hyper r)))
+        truths)
+    [ 1e-3; 1.5; 100. ]
 
 (* ------------------------------------------------------------------ *)
 (* Sparse *)
@@ -559,6 +569,50 @@ let qcheck_tests =
         && Array.for_all2 Float.equal ex (Array.sub dst 0 n)
         && Array.for_all2 Float.equal ex (Cholesky.solve f b)
         && Float.is_nan dst.(n));
+    (* the two substitution bodies behind every Cholesky solve, on the
+       leading n x n block of a wider factor (row stride n .. n + 6), to
+       left-to-right references over [Mat.get]; the strict upper part
+       and everything outside the block hold values the bodies must not
+       read. In place ([dst] = right-hand side) too. *)
+    Test.make ~name:"cholesky-forward-backward-bitwise-reference" ~count:100
+      (make
+         Gen.(
+           pair (int_range 0 12) (int_range 0 6) >>= fun (n, extra) ->
+           pair (return (n, n + extra)) (vec_gen (((n + extra) * (n + extra)) + n))))
+      (fun ((n, s), data) ->
+        let l =
+          Mat.init s s (fun i j ->
+              let x = data.((i * s) + j) in
+              if i = j then 1. +. Float.abs x else x)
+        in
+        let b = Array.sub data (s * s) n in
+        let ey = Array.make n 0. and ex = Array.make n 0. in
+        for i = 0 to n - 1 do
+          let acc = ref b.(i) in
+          for k = 0 to i - 1 do
+            acc := !acc -. (Mat.get l i k *. ey.(k))
+          done;
+          ey.(i) <- !acc /. Mat.get l i i
+        done;
+        for i = n - 1 downto 0 do
+          let acc = ref ey.(i) in
+          for k = i + 1 to n - 1 do
+            acc := !acc -. (Mat.get l k i *. ex.(k))
+          done;
+          ex.(i) <- !acc /. Mat.get l i i
+        done;
+        let y = Array.make (n + 2) nan and x = Array.make (n + 1) nan in
+        Cholesky.forward l ~n b ~dst:y;
+        Cholesky.backward l ~n y ~dst:x;
+        let z = Array.copy b in
+        Cholesky.forward l ~n z ~dst:z;
+        let fwd_in_place = Array.for_all2 Float.equal ey z in
+        Cholesky.backward l ~n z ~dst:z;
+        Array.for_all2 Float.equal ey (Array.sub y 0 n)
+        && Array.for_all2 Float.equal ex (Array.sub x 0 n)
+        && fwd_in_place
+        && Array.for_all2 Float.equal ex z
+        && Float.is_nan y.(n) && Float.is_nan x.(n));
     Test.make ~name:"row_dot-and-col_nrm2-bitwise" ~count:100
       (make Gen.(pair (vec_gen 4) (vec_gen 12)))
       (fun (x, data) ->
@@ -703,7 +757,6 @@ let () =
         [
           Alcotest.test_case "matches direct" `Quick test_woodbury_matches_direct;
           Alcotest.test_case "many rhs" `Quick test_woodbury_many_rhs;
-          Alcotest.test_case "bad inputs" `Quick test_woodbury_rejects_bad_inputs;
         ] );
       ( "sparse",
         [

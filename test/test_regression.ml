@@ -151,6 +151,54 @@ let test_omp_fit_wrapper () =
   check_bool "model coeffs" true
     (Linalg.Vec.approx_equal ~tol:1e-7 (Regression.Model.coeffs model) truth)
 
+(* Golden fingerprints of the coefficients and support under each stop
+   rule, on a noisy quadratic problem drawn from its own stream. They
+   pin the bits of the greedy path (support-Gram factor, its bordering
+   and both triangular solves), which the tables print only to 6
+   decimals. Captured before the factor was stored lower-triangular
+   and solved through [Linalg.Cholesky]'s substitution bodies. *)
+let test_omp_goldens () =
+  let rng = Stats.Rng.create 31337 in
+  let r = 8 in
+  let basis = Polybasis.Basis.total_degree ~r ~d:2 in
+  let m = Polybasis.Basis.size basis in
+  let truth =
+    Array.init m (fun i -> if i mod 5 = 1 then sin (float_of_int i) else 0.)
+  in
+  let k = 36 in
+  let xs = Stats.Sampling.monte_carlo rng ~k ~r in
+  let g = Polybasis.Basis.design_matrix basis xs in
+  let f =
+    Array.init k (fun i ->
+        Linalg.Vec.dot (Linalg.Mat.row g i) truth
+        +. (0.05 *. Stats.Rng.gaussian rng))
+  in
+  let support_string s =
+    String.concat "," (Array.to_list (Array.map string_of_int s))
+  in
+  List.iter
+    (fun (name, stop, fp, support) ->
+      let res = Regression.Omp.fit_design ~rng ~g ~f stop in
+      Alcotest.(check string)
+        (name ^ " coefficients") fp
+        (Serving.Artifact.fingerprint res.coeffs);
+      Alcotest.(check string) (name ^ " support") support
+        (support_string res.support))
+    [
+      ( "max-terms",
+        Regression.Omp.Max_terms 7,
+        "9a5d32c2eab84505",
+        "36,21,1,16,26,11,6" );
+      ( "residual",
+        Regression.Omp.Residual 0.05,
+        "a81a5e84c4e356a6",
+        "36,21,1,16,26,11,6,31,41" );
+      ( "cross-validation",
+        Regression.Omp.Cross_validation { folds = 4; max_terms = 12 },
+        "35603254445fafde",
+        "36,21,1,16,26,11,6,31,41,10" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Ridge *)
 
@@ -361,6 +409,7 @@ let () =
             test_omp_max_terms_capped_by_samples;
           Alcotest.test_case "validation" `Quick test_omp_validation;
           Alcotest.test_case "fit wrapper" `Quick test_omp_fit_wrapper;
+          Alcotest.test_case "goldens" `Quick test_omp_goldens;
         ] );
       ( "ridge",
         [

@@ -1074,7 +1074,8 @@ let test_artifact_codec_allocation_gate () =
       load50 load200 per_sample;
   (* Per term: on a wide basis the terms are most of a load's minor
      words (the circuit bases have hundreds of terms). The RO quick
-     artifact (573 terms) measured 21 words per term, 88 when
+     artifact (573 terms) measured 9.4 words per term; 21 when each
+     term's pairs were decoded into a list first, 88 when
      [Multi_index.of_pairs] hashed every term. *)
   let r = 500 in
   let wide_basis = Polybasis.Basis.linear r in
@@ -1092,11 +1093,44 @@ let test_artifact_codec_allocation_gate () =
     words_per_call (fun () -> Serving.Artifact.of_string bytes)
     /. float_of_int (r + 1)
   in
-  if per_term > 32. then
+  if per_term > 12. then
     Alcotest.failf
       "Artifact.of_string: %.1f minor words per term over %d terms \
-       (budget 32)"
+       (budget 12)"
       per_term (r + 1)
+
+(* The incremental fold's share: folding one sample into a K-sample
+   model allocates the same few words at K = 50 as at K = 200 (the
+   bordering column is solved in a reused buffer and the factor is read
+   and written unboxed). Rows past the first skip the capacity doubling
+   that [of_artifact]'s tight capacity triggers. At about 26K words per
+   row at K = 100, growing as K^2, boxed factor access fails this. *)
+let test_incremental_fold_allocation_gate () =
+  let s = make_synth ~rng:(Stats.Rng.create 6062) ~k:210 ~r:25 () in
+  let per_row k =
+    let a =
+      Serving.Artifact.of_fit ~meta ~basis:s.basis ~prior:s.prior
+        ~hyper:s.hyper
+        ~g:(Linalg.Mat.copy (Linalg.Mat.view_rows s.g k))
+        ~f:(Array.sub s.f 0 k) ()
+    in
+    let inc = Serving.Incremental.of_artifact a in
+    let rows = Array.init 9 (fun i -> Linalg.Mat.row s.g (200 + i)) in
+    let values = Array.init 9 (fun i -> s.f.(200 + i)) in
+    (* the first row doubles the capacity *)
+    Serving.Incremental.add_row inc ~row:rows.(0) ~value:values.(0);
+    let before = Gc.minor_words () in
+    for i = 1 to 8 do
+      Serving.Incremental.add_row inc ~row:rows.(i) ~value:values.(i)
+    done;
+    (Gc.minor_words () -. before) /. 8.
+  in
+  let w50 = per_row 50 and w200 = per_row 200 in
+  if w50 > 16. || w200 > 16. || Float.abs (w200 -. w50) > 2. then
+    Alcotest.failf
+      "Incremental.add_row: %.1f minor words per row at K=50, %.1f at \
+       K=200 (budget: the same count, +/- 2, at most 16)"
+      w50 w200
 
 (* ------------------------------------------------------------------ *)
 (* Golden fingerprints, captured from the seed float-array kernels
@@ -1324,6 +1358,8 @@ let () =
             `Quick test_predict_allocation_gate;
           Alcotest.test_case "artifact save and load are O(1) words" `Quick
             test_artifact_codec_allocation_gate;
+          Alcotest.test_case "incremental fold is O(1) words per row" `Quick
+            test_incremental_fold_allocation_gate;
         ] );
       ( "golden",
         [
